@@ -1,9 +1,11 @@
 #include "autograd/optimizers.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/counters.h"
 #include "common/log.h"
+#include "common/timer.h"
 
 namespace dreamplace {
 
@@ -118,18 +120,26 @@ double NesterovOptimizer<T>::step() {
   const double momentum = (a_ - 1.0) / a_next;
   double cand_value = 0.0;
   for (int bt = 0; bt < options_.maxBacktracks; ++bt) {
-    for (std::size_t i = 0; i < n; ++i) {
-      u_cand_[i] = v_[i] - static_cast<T>(alpha * grad_v_[i]);
-      v_cand_[i] = u_cand_[i] + static_cast<T>(momentum) *
-                                    (u_cand_[i] - u_[i]);
+    {
+      ScopedTimer t("optimizer/nesterov/update");
+      for (std::size_t i = 0; i < n; ++i) {
+        u_cand_[i] = v_[i] - static_cast<T>(alpha * grad_v_[i]);
+        v_cand_[i] = u_cand_[i] + static_cast<T>(momentum) *
+                                      (u_cand_[i] - u_[i]);
+      }
     }
     if (options_.projection) {
       options_.projection(u_cand_);
       options_.projection(v_cand_);
     }
     cand_value = evalAt(v_cand_, grad_cand_);
-    const double dv = norm2(v_cand_, v_);
-    const double dg = norm2(grad_cand_, grad_v_);
+    double dv = 0.0;
+    double dg = 0.0;
+    {
+      ScopedTimer t("optimizer/nesterov/update");
+      dv = norm2(v_cand_, v_);
+      dg = norm2(grad_cand_, grad_v_);
+    }
     const double alpha_new = dg > 0.0 ? dv / dg : alpha;
     if (alpha_new >= options_.backtrackTolerance * alpha) {
       alpha_ = alpha_new;
@@ -140,13 +150,15 @@ double NesterovOptimizer<T>::step() {
   }
   value = cand_value;
 
-  // Commit.
-  u_prev_ = u_;
-  u_ = u_cand_;
-  v_prev_ = v_;
-  v_ = v_cand_;
-  grad_v_prev_ = grad_v_;
-  grad_v_ = grad_cand_;
+  // Commit by rotating buffers: x_prev <- x <- x_cand, and the old x_prev
+  // becomes the next step's candidate scratch (fully overwritten before
+  // it is read).
+  std::swap(u_prev_, u_);
+  std::swap(u_, u_cand_);
+  std::swap(v_prev_, v_);
+  std::swap(v_, v_cand_);
+  std::swap(grad_v_prev_, grad_v_);
+  std::swap(grad_v_, grad_cand_);
   a_ = a_next;
   return value;
 }

@@ -21,6 +21,15 @@ std::vector<int> solveAssignment(
   // Kuhn-Munkres with potentials (the standard O(n^3) formulation using
   // 1-based auxiliary arrays; row 0 / column 0 are sentinels).
   const int n = static_cast<int>(cost.size());
+  // A NaN or infinite cost makes every `<` below false, so the augmenting
+  // search would never find a column and never exit.
+  for (const std::vector<double>& row : cost) {
+    for (double c : row) {
+      if (!std::isfinite(c)) {
+        return {};
+      }
+    }
+  }
   std::vector<double> u(n + 1, 0.0), v(n + 1, 0.0);
   std::vector<int> p(n + 1, 0), way(n + 1, 0);
   for (int i = 1; i <= n; ++i) {
@@ -126,6 +135,7 @@ IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
     reg.add("dp/bbox_rescan", rescans + cache.maintenanceRescans);
   };
 
+  static Counter nonfinite_sets("dp/ism_nonfinite_sets");
   std::unordered_set<Index> used_nets;
   std::vector<Index> set;
   for (auto& [footprint, cells] : by_width) {
@@ -183,6 +193,11 @@ IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
         identity_cost += cost[i][i];
       }
       const std::vector<int> assignment = solveAssignment(cost);
+      if (assignment.empty()) {
+        // Non-finite cost: keep the set where it is.
+        nonfinite_sets.add();
+        continue;
+      }
       double best_cost = 0.0;
       for (int i = 0; i < k; ++i) {
         best_cost += cost[i][assignment[i]];

@@ -34,7 +34,9 @@ IsmResult independentSetMatching(Database& db, const IsmOptions& options);
 
 /// Solves the square assignment problem min sum_i cost[i][perm[i]]
 /// (Hungarian / Kuhn-Munkres, O(n^3)). Returns the optimal column for
-/// each row. Exposed for testing.
+/// each row, or an empty vector when any cost is NaN or infinite (no
+/// assignment is defined then; ISM keeps such a set in place and counts
+/// it under dp/ism_nonfinite_sets). Exposed for testing.
 std::vector<int> solveAssignment(const std::vector<std::vector<double>>& cost);
 
 }  // namespace dreamplace

@@ -144,29 +144,36 @@ GlobalPlacerResult GlobalPlacer<T>::run(const Callback& callback) {
   // --- Feasibility projection ---------------------------------------------------
   // Nodes are clamped into the die — or into their fence box when fence
   // regions are active (fences are axis-aligned boxes, so the projection
-  // is an exact Euclidean projection per node).
-  std::vector<Box<Coord>> node_box(n, db_.dieArea());
-  if (auto* fenced = dynamic_cast<FenceDensityOp<T>*>(density_.get())) {
-    for (Index i = 0; i < n; ++i) {
-      node_box[i] = fenced->groupBox(fenced->nodeGroup(i));
-    }
-  }
-  auto projection = [this, n, &node_box](std::vector<T>& p) {
+  // is an exact Euclidean projection per node). The per-coordinate bounds
+  // (box edge -/+ half the node footprint; fillers use smoothed sizes)
+  // are fixed for the run, so they are computed once, laid out like the
+  // parameter vector.
+  std::vector<T> clamp_lo(2 * static_cast<std::size_t>(n));
+  std::vector<T> clamp_hi(clamp_lo.size());
+  {
+    const auto* fenced = dynamic_cast<const FenceDensityOp<T>*>(density_.get());
     const Index movable = db_.numMovable();
-    parallelFor("gp/project", n, 2048, [&](Index i) {
-      // Keep node footprints inside their box; fillers use smoothed sizes.
+    for (Index i = 0; i < n; ++i) {
+      const Box<Coord>& box =
+          fenced ? fenced->groupBox(fenced->nodeGroup(i)) : db_.dieArea();
       const T hw = (i < movable ? static_cast<T>(db_.cellWidth(i))
                                 : density_->nodeWidth(i)) /
                    T(2);
       const T hh = (i < movable ? static_cast<T>(db_.cellHeight(i))
                                 : density_->nodeHeight(i)) /
                    T(2);
-      const Box<Coord>& box = node_box[i];
-      p[i] = clampSafe<T>(p[i], static_cast<T>(box.xl) + hw,
-                          static_cast<T>(box.xh) - hw);
-      p[i + n] = clampSafe<T>(p[i + n], static_cast<T>(box.yl) + hh,
-                              static_cast<T>(box.yh) - hh);
-    });
+      clamp_lo[i] = static_cast<T>(box.xl) + hw;
+      clamp_hi[i] = static_cast<T>(box.xh) - hw;
+      clamp_lo[i + n] = static_cast<T>(box.yl) + hh;
+      clamp_hi[i + n] = static_cast<T>(box.yh) - hh;
+    }
+  }
+  auto projection = [&clamp_lo, &clamp_hi](std::vector<T>& p) {
+    ScopedTimer t("gp/project");
+    parallelFor("gp/project", static_cast<Index>(p.size()), 4096,
+                [&](Index i) {
+                  p[i] = clampSafe<T>(p[i], clamp_lo[i], clamp_hi[i]);
+                });
   };
 
   double lambda = 0.0;
@@ -244,9 +251,10 @@ GlobalPlacerResult GlobalPlacer<T>::run(const Callback& callback) {
                  : DensityWeightScheduler::initialWeight(wl_abs, d_abs);
     objective_->setDensityWeight(lambda);
 
-    hpwl_seed = wirelength_->hpwl(std::span<const T>(params));
+    // The lambda0 pass above evaluated both ops at the initial point.
+    hpwl_seed = wirelength_->lastHpwl();
     ema_hpwl = hpwl_seed;
-    overflow = density_->overflow(std::span<const T>(params));
+    overflow = density_->lastOverflow();
     makeSolver(std::move(params), projection);
   }
 
@@ -284,13 +292,11 @@ GlobalPlacerResult GlobalPlacer<T>::run(const Callback& callback) {
     }
     wirelength_->setGamma(gamma_scheduler.gamma(overflow));
     const double obj = optimizer_->step();
-    const std::vector<T>& cur = optimizer_->params();
-
-    const double cur_hpwl = wirelength_->hpwl(std::span<const T>(cur));
-    {
-      ScopedTimer t("gp/overflow");
-      overflow = density_->overflow(std::span<const T>(cur));
-    }
+    // Metrics of the last evaluated point, read off the step's own
+    // forward pass (for Nesterov the look-ahead v_{k+1}, where DREAMPlace's
+    // optimizer reports them; docs/ALGORITHMS.md §4).
+    const double cur_hpwl = wirelength_->lastHpwl();
+    overflow = density_->lastOverflow();
     // A few relaxed atomic stores per iteration; observers only read.
     heartbeat.publishIteration(iter, cur_hpwl, overflow);
 
@@ -343,9 +349,17 @@ GlobalPlacerResult GlobalPlacer<T>::run(const Callback& callback) {
 
   final_params_ = optimizer_->params();
   commit(final_params_);
+  // The committed point u_k is not the last evaluated one; one objective
+  // pass there yields the reported HPWL and overflow (and keeps the two
+  // ops' evaluate counts in lockstep).
+  {
+    std::vector<T> grad(final_params_.size());
+    objective_->evaluate(std::span<const T>(final_params_),
+                         std::span<T>(grad));
+  }
   result.iterations = iter;
-  result.hpwl = wirelength_->hpwl(std::span<const T>(final_params_));
-  result.overflow = overflow;
+  result.hpwl = wirelength_->lastHpwl();
+  result.overflow = density_->lastOverflow();
   result.finalLambda = lambda;
   if (telemetry) {
     TelemetryRunSummary summary;

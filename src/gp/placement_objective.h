@@ -71,6 +71,7 @@ class PlacementObjective final : public ObjectiveFunction<T> {
       last_density_ =
           density_.evaluate(params, std::span<T>(density_scratch_));
     }
+    ScopedTimer t("gp/op/combine");
     const T lambda = static_cast<T>(lambda_);
     const Index n = density_.numNodes();
     const T* wl_g = wl_scratch_.data();

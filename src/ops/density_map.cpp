@@ -203,10 +203,21 @@ int DensityMapBuilder<T>::scatterSlices() const {
 }
 
 template <typename T>
+void DensityMapBuilder<T>::scatterNode(const T* x, const T* y, Index node,
+                                       T* map) const {
+  using V = simd::NativeVec<T>;
+  const T q = scale_[node] * inv_bin_area_;
+  forEachOverlapStrip(
+      x, y, node, [&](int bx, int by0, int by1, T ox, T yl, T yh) {
+        addOverlapStrip<V>(map + bx * grid_.my, by0, by1, q * ox, yl, yh,
+                           grid_.yl, grid_.binH);
+      });
+}
+
+template <typename T>
 void DensityMapBuilder<T>::scatter(const T* x, const T* y, Index begin,
                                    Index end, std::vector<T>& map) const {
   DP_ASSERT(static_cast<int>(map.size()) == grid_.mx * grid_.my);
-  using V = simd::NativeVec<T>;
   const Index n = numNodes();
   // order_ is a permutation of all nodes; entries outside [begin, end)
   // are skipped.
@@ -215,15 +226,9 @@ void DensityMapBuilder<T>::scatter(const T* x, const T* y, Index begin,
     // Small designs: accumulate in the serial processing order.
     for (Index k = 0; k < n; ++k) {
       const Index node = order_[k];
-      if (node < begin || node >= end) {
-        continue;
+      if (node >= begin && node < end) {
+        scatterNode(x, y, node, map.data());
       }
-      const T q = scale_[node] * inv_bin_area_;
-      forEachOverlapStrip(
-          x, y, node, [&](int bx, int by0, int by1, T ox, T yl, T yh) {
-            addOverlapStrip<V>(map.data() + bx * grid_.my, by0, by1, q * ox,
-                               yl, yh, grid_.yl, grid_.binH);
-          });
     }
     return;
   }
@@ -243,15 +248,9 @@ void DensityMapBuilder<T>::scatter(const T* x, const T* y, Index begin,
         std::fill(partial, partial + bins, T(0));
         for (Index k = s; k < n; k += slices) {
           const Index node = order_[k];
-          if (node < begin || node >= end) {
-            continue;
+          if (node >= begin && node < end) {
+            scatterNode(x, y, node, partial);
           }
-          const T q = scale_[node] * inv_bin_area_;
-          forEachOverlapStrip(
-              x, y, node, [&](int bx, int by0, int by1, T ox, T yl, T yh) {
-                addOverlapStrip<V>(partial + bx * grid_.my, by0, by1, q * ox,
-                                   yl, yh, grid_.yl, grid_.binH);
-              });
         }
       });
   parallelFor("ops/density/combine", static_cast<Index>(bins), 4096,
@@ -259,6 +258,59 @@ void DensityMapBuilder<T>::scatter(const T* x, const T* y, Index begin,
                 T acc = map[b];
                 for (int s = 0; s < slices; ++s) {
                   acc += slice_scratch_[bins * static_cast<std::size_t>(s) + b];
+                }
+                map[b] = acc;
+              });
+}
+
+template <typename T>
+void DensityMapBuilder<T>::scatterSplit(const T* x, const T* y, Index split,
+                                        std::span<const T> base,
+                                        std::vector<T>& lower,
+                                        std::vector<T>& map) const {
+  const std::size_t bins = map.size();
+  DP_ASSERT(base.size() == bins && lower.size() == bins);
+  const Index n = numNodes();
+  const int slices = scatterSlices();
+  if (slices == 1) {
+    std::fill(lower.begin(), lower.end(), T(0));
+    scatter(x, y, 0, split, lower);
+    for (std::size_t b = 0; b < bins; ++b) {
+      map[b] = base[b] + lower[b];
+    }
+    scatter(x, y, split, n, map);
+    return;
+  }
+  // Partial sets: slices [0, slices) for nodes below the split, then
+  // slices [slices, 2*slices) for the rest.
+  const std::size_t stride = bins * static_cast<std::size_t>(slices);
+  slice_scratch_.resize(2 * stride);
+  mem_slices_.set(static_cast<std::int64_t>(slice_scratch_.size() *
+                                            sizeof(T)));
+  currentThreadPool().run(
+      "ops/density/scatter", slices, [&](Index s, int) {
+        T* lo = slice_scratch_.data() + bins * static_cast<std::size_t>(s);
+        T* hi = lo + stride;
+        std::fill(lo, lo + bins, T(0));
+        std::fill(hi, hi + bins, T(0));
+        for (Index k = s; k < n; k += slices) {
+          const Index node = order_[k];
+          scatterNode(x, y, node, node < split ? lo : hi);
+        }
+      });
+  // Same per-bin fold as scatter(): lower from zero, then map from
+  // base + lower, each in slice order.
+  parallelFor("ops/density/combine", static_cast<Index>(bins), 4096,
+              [&](Index b) {
+                T acc = T(0);
+                for (int s = 0; s < slices; ++s) {
+                  acc += slice_scratch_[bins * static_cast<std::size_t>(s) + b];
+                }
+                lower[b] = acc;
+                acc = base[b] + acc;
+                for (int s = 0; s < slices; ++s) {
+                  acc += slice_scratch_[stride +
+                                        bins * static_cast<std::size_t>(s) + b];
                 }
                 map[b] = acc;
               });

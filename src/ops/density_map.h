@@ -70,6 +70,17 @@ class DensityMapBuilder {
   void scatter(const T* x, const T* y, Index begin, Index end,
                std::vector<T>& map) const;
 
+  /// The density map of an evaluate together with its movable-only part:
+  /// scatters nodes [0, split) into `lower` (overwritten), sets
+  /// map = base + lower, then scatters nodes [split, numNodes()) on top.
+  /// Bit-identical to that sequence of scatter() calls, but one slice
+  /// pass fills both partial sets (each slice routes a node to the
+  /// partial of its side), so the nodes are walked and the pool is
+  /// entered once. The slice scratch is twice scatter()'s.
+  void scatterSplit(const T* x, const T* y, Index split,
+                    std::span<const T> base, std::vector<T>& lower,
+                    std::vector<T>& map) const;
+
   /// Gathers field onto node gradients:
   ///   gx[i] -= sum_b q_ib * fieldX_b / binArea / binW   (and same for y),
   /// i.e. the electric force with the sign of a density-penalty gradient.
@@ -92,6 +103,8 @@ class DensityMapBuilder {
   template <typename Visit>
   void forEachOverlapStrip(const T* x, const T* y, Index node,
                            Visit visit) const;
+  /// Adds node `node`'s charge into `map` (scatter's per-node body).
+  void scatterNode(const T* x, const T* y, Index node, T* map) const;
   /// Slice count for the parallel scatter: 1 for small designs, else up
   /// to 8, reduced when the per-slice partial map would blow the scratch
   /// budget on huge grids. Depends only on (node count, grid, T).

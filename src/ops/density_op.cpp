@@ -41,8 +41,10 @@ DensityOp<T>::DensityOp(const Database& db, const DensityGrid<T>& grid,
       total_movable_area_(db.totalMovableArea()) {
   DP_ASSERT(num_nodes_ >= db.numMovable());
   map_.resize(static_cast<size_t>(grid.mx) * grid.my);
+  movable_map_.resize(map_.size());
   mem_.set(static_cast<std::int64_t>(
-      (map_.capacity() + fixed_map_.capacity()) * sizeof(T)));
+      (map_.capacity() + movable_map_.capacity() + fixed_map_.capacity()) *
+      sizeof(T)));
 }
 
 template <typename T>
@@ -55,8 +57,12 @@ double DensityOp<T>::evaluate(std::span<const T> params, std::span<T> grad) {
 
   {
     ScopedTimer t("gp/op/density/scatter");
-    std::copy(fixed_map_.begin(), fixed_map_.end(), map_.begin());
-    builder_.scatter(x, y, 0, num_nodes_, map_);
+    // Movable cells are nodes [0, numMovable); fillers follow.
+    builder_.scatterSplit(x, y, db_.numMovable(),
+                          std::span<const T>(fixed_map_), movable_map_, map_);
+    last_overflow_ =
+        densityOverflow<T>(movable_map_, fixed_map_, builder_.grid(),
+                           options_.targetDensity, total_movable_area_);
   }
   {
     ScopedTimer t("gp/op/density/poisson");
@@ -64,9 +70,8 @@ double DensityOp<T>::evaluate(std::span<const T> params, std::span<T> grad) {
     // Attribute the solution buffers once they reach steady-state size
     // (set() is a no-op when nothing changed).
     mem_.set(static_cast<std::int64_t>(
-        (map_.capacity() + fixed_map_.capacity() +
-         solution_.potential.capacity() + solution_.fieldX.capacity() +
-         solution_.fieldY.capacity()) *
+        (map_.capacity() + movable_map_.capacity() + fixed_map_.capacity() +
+         solution_.fieldX.capacity() + solution_.fieldY.capacity()) *
         sizeof(T)));
   }
   {
@@ -76,16 +81,6 @@ double DensityOp<T>::evaluate(std::span<const T> params, std::span<T> grad) {
                          grad.data() + num_nodes_);
   }
   return solution_.energy;
-}
-
-template <typename T>
-double DensityOp<T>::overflow(std::span<const T> params) const {
-  const T* x = params.data();
-  const T* y = params.data() + num_nodes_;
-  std::vector<T> movable(map_.size(), T(0));
-  builder_.scatter(x, y, 0, db_.numMovable(), movable);
-  return densityOverflow<T>(movable, fixed_map_, builder_.grid(),
-                            options_.targetDensity, total_movable_area_);
 }
 
 template <typename T>

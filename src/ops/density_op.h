@@ -3,7 +3,9 @@
 // Forward: scatter node charge into the bin density map, add the static
 // fixed-cell map, solve Poisson's equation spectrally, return the system
 // potential energy. Backward: gather the electric field onto each node.
-// This is the D(w) "regularization term" of the training analogy.
+// This is the D(w) "regularization term" of the training analogy. The
+// forward keeps the movable-only part of the map, so the overflow metric
+// comes out of the same pass (lastOverflow()).
 #pragma once
 
 #include <memory>
@@ -26,8 +28,10 @@ class DensityFunction : public ObjectiveFunction<T> {
  public:
   virtual Index numNodes() const = 0;
   virtual const DensityGrid<T>& grid() const = 0;
-  /// Movable-cell density overflow at `params` (the GP stopping metric).
-  virtual double overflow(std::span<const T> params) const = 0;
+  /// Movable-cell density overflow (the GP stopping metric) at the
+  /// parameters of the last evaluate(); 0 before the first. Fillers are
+  /// excluded.
+  virtual double lastOverflow() const = 0;
   /// Per-node charge (area) for the Jacobi preconditioner, and the node
   /// footprints used to keep nodes inside the die.
   virtual T nodeArea(Index node) const = 0;
@@ -62,9 +66,7 @@ class DensityOp final : public DensityFunction<T> {
     return 2 * static_cast<std::size_t>(num_nodes_);
   }
   double evaluate(std::span<const T> params, std::span<T> grad) override;
-
-  /// Fillers are excluded from the overflow metric.
-  double overflow(std::span<const T> params) const override;
+  double lastOverflow() const override { return last_overflow_; }
 
   Index numNodes() const override { return num_nodes_; }
   Index numFillers() const { return num_nodes_ - db_.numMovable(); }
@@ -96,7 +98,9 @@ class DensityOp final : public DensityFunction<T> {
 
   // Workspaces.
   std::vector<T> map_;
+  std::vector<T> movable_map_;  ///< movable cells only (overflow metric)
   PoissonSolution<T> solution_;
+  double last_overflow_ = 0.0;
   TrackedBytes mem_{"ops/density/grids"};  ///< density/fixed/solution maps
 };
 

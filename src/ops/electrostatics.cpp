@@ -28,12 +28,11 @@ PoissonSolver<T>::PoissonSolver(int mx, int my, fft::Dct2dAlgorithm algo)
     }
   }
   coeff_.resize(total);
-  z_.resize(total);
   zx_.resize(total);
   zy_.resize(total);
   mem_.set(static_cast<std::int64_t>(
       (wu_.capacity() + wv_.capacity() + inv_w2_.capacity() +
-       coeff_.capacity() + z_.capacity() + zx_.capacity() + zy_.capacity()) *
+       coeff_.capacity() + zx_.capacity() + zy_.capacity()) *
       sizeof(T)));
 }
 
@@ -46,11 +45,9 @@ void PoissonSolver<T>::solve(std::span<const T> density,
   solves.add();
   const size_t total = static_cast<size_t>(mx_) * my_;
   DP_ASSERT(density.size() == total);
-  const bool grows = out.potential.capacity() < total ||
-                     out.fieldX.capacity() < total ||
-                     out.fieldY.capacity() < total;
+  const bool grows =
+      out.fieldX.capacity() < total || out.fieldY.capacity() < total;
   (grows ? ws_allocs : ws_reuses).add();
-  out.potential.resize(total);
   out.fieldX.resize(total);
   out.fieldY.resize(total);
 
@@ -61,33 +58,50 @@ void PoissonSolver<T>::solve(std::span<const T> density,
   // a_uv = dct * eps_u * eps_v / (mx*my); evaluating the inverse series
   // through idct2d absorbs another 2^[u==0] 2^[v==0], so the combined
   // coefficient is uniformly 4/(mx*my) (derivation: docs/ALGORITHMS.md §3).
+  // The energy 1/2 sum_b rho_b psi_b equals, by Parseval,
+  // 1/2 sum_uv h_u h_v dct_uv z_uv with h_0 = 1/2, h_{>0} = 1 (idct2d's
+  // DC weight), so it is summed here instead of transforming psi back.
   const T norm = T(4) / (static_cast<T>(mx_) * static_cast<T>(my_));
-  parallelFor("ops/es/coeff", mx_, 8, [&](Index u) {
-    const T wu = wu_[u];
-    for (int v = 0; v < my_; ++v) {
-      const size_t i = static_cast<size_t>(u) * my_ + v;
-      const T base = norm * coeff_[i] * inv_w2_[i];
-      z_[i] = base;
-      zx_[i] = base * wu;
-      zy_[i] = base * wv_[v];
-    }
-  });
-
-  plan_.idct2d(z_.data(), out.potential.data());
-  plan_.idxstIdct(zx_.data(), out.fieldX.data());
-  plan_.idctIdxst(zy_.data(), out.fieldY.data());
-
   out.energy = parallelReduce(
-      "ops/es/energy", static_cast<Index>(total), 8192, 0.0,
-      [&](Index block_begin, Index block_end) {
+      "ops/es/coeff", mx_, 8, 0.0,
+      [&](Index u_begin, Index u_end) {
         double partial = 0.0;
-        for (Index i = block_begin; i < block_end; ++i) {
-          partial += 0.5 * static_cast<double>(density[i]) *
-                     static_cast<double>(out.potential[i]);
+        for (Index u = u_begin; u < u_end; ++u) {
+          const T wu = wu_[u];
+          const double hu = u == 0 ? 0.25 : 0.5;  // 1/2 * h_u
+          double row = 0.0;
+          for (int v = 0; v < my_; ++v) {
+            const size_t i = static_cast<size_t>(u) * my_ + v;
+            const T base = norm * coeff_[i] * inv_w2_[i];
+            zx_[i] = base * wu;
+            zy_[i] = base * wv_[v];
+            const double hv = v == 0 ? 0.5 : 1.0;
+            row += hv * static_cast<double>(coeff_[i]) *
+                   static_cast<double>(base);
+          }
+          partial += hu * row;
         }
         return partial;
       },
       [](double acc, double partial) { return acc + partial; });
+
+  plan_.idxstIdct(zx_.data(), out.fieldX.data());
+  plan_.idctIdxst(zy_.data(), out.fieldY.data());
+}
+
+template <typename T>
+std::vector<T> PoissonSolver<T>::potential(std::span<const T> density) {
+  const size_t total = static_cast<size_t>(mx_) * my_;
+  DP_ASSERT(density.size() == total);
+  plan_.dct2d(density.data(), coeff_.data());
+  const T norm = T(4) / (static_cast<T>(mx_) * static_cast<T>(my_));
+  std::vector<T> z(total);
+  for (size_t i = 0; i < total; ++i) {
+    z[i] = norm * coeff_[i] * inv_w2_[i];
+  }
+  std::vector<T> psi(total);
+  plan_.idct2d(z.data(), psi.data());
+  return psi;
 }
 
 template class PoissonSolver<float>;

@@ -6,11 +6,13 @@
 // cos(pi*u*(x+1/2)/M) satisfies naturally. The DC mode is zeroed,
 // implementing the zero-total-charge compatibility condition (eq. (4c)).
 //
-// Outputs, all in bin-index coordinates:
-//   potential psi(x,y),
+// solve() outputs, all in bin-index coordinates:
 //   fieldX = -d psi / dx  (IDXST along x, IDCT along y),
 //   fieldY = -d psi / dy  (IDCT along x, IDXST along y),
-//   energy = 1/2 sum_b rho_b * psi_b.
+//   energy = 1/2 sum_b rho_b * psi_b, evaluated in coefficient space
+//            (Parseval, docs/ALGORITHMS.md §3),
+// from three 2-D transforms per solve. The potential psi(x,y) itself
+// feeds nothing in placement; potential() computes it on request.
 //
 // Maps are row-major with dim0 = x: element (bx, by) at bx*my + by.
 #pragma once
@@ -25,7 +27,6 @@ namespace dreamplace {
 
 template <typename T>
 struct PoissonSolution {
-  std::vector<T> potential;
   std::vector<T> fieldX;
   std::vector<T> fieldY;
   double energy = 0.0;
@@ -44,6 +45,11 @@ class PoissonSolver {
   /// `ws_reuse` records whether a call had to grow the output buffers.
   void solve(std::span<const T> density, PoissonSolution<T>& out);
 
+  /// Potential psi = idct2d(z) for the given density map (one forward
+  /// and one inverse transform). Not part of solve(); for tests and
+  /// diagnostics.
+  std::vector<T> potential(std::span<const T> density);
+
   int mx() const { return mx_; }
   int my() const { return my_; }
 
@@ -55,7 +61,6 @@ class PoissonSolver {
   std::vector<T> wv_;        ///< omega_v = pi*v/my
   std::vector<T> inv_w2_;    ///< 1/(wu^2+wv^2), 0 at DC
   std::vector<T> coeff_;     ///< forward DCT of the density
-  std::vector<T> z_;         ///< scaled modes for the potential
   std::vector<T> zx_;        ///< scaled modes for fieldX
   std::vector<T> zy_;        ///< scaled modes for fieldY
   TrackedBytes mem_{"ops/density/grids"};  ///< spectral workspace bytes

@@ -73,6 +73,7 @@ FenceDensityOp<T>::FenceDensityOp(const Database& db,
       h[k] = nodeH[node];
       if (node < db.numMovable()) {
         group.movableArea += db.cellArea(node);
+        ++group.numMovable;
       }
     }
     group.builder = std::make_unique<DensityMapBuilder<T>>(
@@ -108,6 +109,7 @@ FenceDensityOp<T>::FenceDensityOp(const Database& db,
     group.gy.resize(group.members.size());
     group.map.resize(static_cast<size_t>(grid.mx) * grid.my);
   }
+  movable_map_.resize(static_cast<size_t>(grid.mx) * grid.my);
 }
 
 template <typename T>
@@ -131,6 +133,8 @@ double FenceDensityOp<T>::evaluate(std::span<const T> params,
   calls.add();
   std::fill(grad.begin(), grad.end(), T(0));
   double energy = 0.0;
+  double overflow_area = 0.0;
+  double movable_area = 0.0;
   T* gx_out = grad.data();
   T* gy_out = grad.data() + num_nodes_;
   for (Group& group : groups_) {
@@ -138,11 +142,17 @@ double FenceDensityOp<T>::evaluate(std::span<const T> params,
       continue;
     }
     gatherMemberPositions(group, params, group.x, group.y);
-    std::copy(group.fixedMap.begin(), group.fixedMap.end(),
-              group.map.begin());
-    group.builder->scatter(group.x.data(), group.y.data(), 0,
-                           static_cast<Index>(group.members.size()),
-                           group.map);
+    group.builder->scatterSplit(group.x.data(), group.y.data(),
+                                group.numMovable,
+                                std::span<const T>(group.fixedMap),
+                                movable_map_, group.map);
+    if (group.movableArea > 0) {
+      overflow_area +=
+          densityOverflow<T>(movable_map_, group.fixedMap, grid_,
+                             options_.targetDensity, group.movableArea) *
+          group.movableArea;
+      movable_area += group.movableArea;
+    }
     solver_.solve(std::span<const T>(group.map), solution_);
     energy += solution_.energy;
     group.builder->gatherForce(group.x.data(), group.y.data(),
@@ -154,55 +164,8 @@ double FenceDensityOp<T>::evaluate(std::span<const T> params,
       gy_out[group.members[k]] = group.gy[k];
     }
   }
+  last_overflow_ = movable_area > 0 ? overflow_area / movable_area : 0.0;
   return energy;
-}
-
-template <typename T>
-double FenceDensityOp<T>::overflow(std::span<const T> params) const {
-  // Overflow per group against its fence-restricted free area; aggregated
-  // as an area-weighted sum so the metric stays comparable to the
-  // single-field definition.
-  double total_overflow_area = 0.0;
-  double total_movable = 0.0;
-  std::vector<T> movable(static_cast<size_t>(grid_.mx) * grid_.my);
-  for (const Group& group : groups_) {
-    if (group.members.empty() || group.movableArea <= 0) {
-      continue;
-    }
-    // Movable members only (global index < numMovable).
-    std::vector<T> x;
-    std::vector<T> y;
-    x.reserve(group.members.size());
-    y.reserve(group.members.size());
-    const T* px = params.data();
-    const T* py = params.data() + num_nodes_;
-    // The builder indexes by member slot; scatter a prefix restricted to
-    // movable members by zero-size filtering: build a position array where
-    // filler members are parked far outside the grid (their contribution
-    // clips to nothing).
-    std::vector<T> mx(group.members.size());
-    std::vector<T> my(group.members.size());
-    for (size_t k = 0; k < group.members.size(); ++k) {
-      const Index node = group.members[k];
-      if (node < db_.numMovable()) {
-        mx[k] = px[node];
-        my[k] = py[node];
-      } else {
-        mx[k] = static_cast<T>(grid_.xl - 1e6);
-        my[k] = static_cast<T>(grid_.yl - 1e6);
-      }
-    }
-    std::fill(movable.begin(), movable.end(), T(0));
-    group.builder->scatter(mx.data(), my.data(), 0,
-                           static_cast<Index>(group.members.size()),
-                           movable);
-    const double ovf =
-        densityOverflow<T>(movable, group.fixedMap, grid_,
-                           options_.targetDensity, group.movableArea);
-    total_overflow_area += ovf * group.movableArea;
-    total_movable += group.movableArea;
-  }
-  return total_movable > 0 ? total_overflow_area / total_movable : 0.0;
 }
 
 template <typename T>

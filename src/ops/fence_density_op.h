@@ -51,8 +51,9 @@ class FenceDensityOp final : public DensityFunction<T> {
     return 2 * static_cast<std::size_t>(num_nodes_);
   }
   double evaluate(std::span<const T> params, std::span<T> grad) override;
-
-  double overflow(std::span<const T> params) const override;
+  /// Per-group overflow against each fence's free area, aggregated as a
+  /// movable-area-weighted mean (comparable to the single-field metric).
+  double lastOverflow() const override { return last_overflow_; }
 
   Index numNodes() const override { return num_nodes_; }
   const DensityGrid<T>& grid() const override { return grid_; }
@@ -64,10 +65,24 @@ class FenceDensityOp final : public DensityFunction<T> {
   int nodeGroup(Index node) const { return node_group_[node]; }
   /// Fence box of a group (group 0 returns the die).
   const Box<Coord>& groupBox(int group) const { return group_box_[group]; }
+  /// A group's field: member node ids (ascending), the density builder
+  /// over member slots, and its blocked (fixed) map.
+  const std::vector<Index>& groupMembers(int group) const {
+    return groups_[group].members;
+  }
+  const DensityMapBuilder<T>& groupBuilder(int group) const {
+    return *groups_[group].builder;
+  }
+  const std::vector<T>& groupFixedMap(int group) const {
+    return groups_[group].fixedMap;
+  }
 
  private:
   struct Group {
     std::vector<Index> members;          ///< Global node indices.
+    /// Members [0, numMovable) are movable cells (members ascend, and
+    /// cells precede fillers), the rest fillers.
+    Index numMovable = 0;
     std::unique_ptr<DensityMapBuilder<T>> builder;  ///< Over member sizes.
     std::vector<T> fixedMap;             ///< Blocked density for this field.
     double movableArea = 0.0;            ///< Physical movable area.
@@ -89,6 +104,8 @@ class FenceDensityOp final : public DensityFunction<T> {
   std::vector<Group> groups_;
   PoissonSolver<T> solver_;
   PoissonSolution<T> solution_;
+  std::vector<T> movable_map_;  ///< one group's movable-only map
+  double last_overflow_ = 0.0;
 };
 
 /// Assigns fillers to groups proportionally to each group's whitespace and

@@ -53,14 +53,14 @@ NetTopology<T>::NetTopology(const Database& db) {
   }
 }
 
-template <typename T>
-double topologyHpwl(const NetTopologyView<T>& topo, std::span<const T> params,
-                    Index numNodes) {
-  const Index num_nets = topo.numNets();
-  const T* x = params.data();
-  const T* y = params.data() + numNodes;
+namespace {
+
+/// Weighted HPWL summed over 64-net blocks in double; pinPos(p, px, py)
+/// yields pin p's position.
+template <typename T, typename PinPos>
+double netsHpwl(const NetTopologyView<T>& topo, PinPos pinPos) {
   return parallelReduce(
-      "ops/wl/hpwl", num_nets, 64, 0.0,
+      "ops/wl/hpwl", topo.numNets(), 64, 0.0,
       [&](Index block_begin, Index block_end) {
         double partial = 0.0;
         for (Index e = block_begin; e < block_end; ++e) {
@@ -72,11 +72,8 @@ double topologyHpwl(const NetTopologyView<T>& topo, std::span<const T> params,
           T xl = std::numeric_limits<T>::infinity();
           T xh = -xl, yl = xl, yh = -xl;
           for (Index p = begin; p < end; ++p) {
-            const Index node = topo.pinNode[p];
-            const T px =
-                node >= 0 ? x[node] + topo.pinOffsetX[p] : topo.pinFixedX[p];
-            const T py =
-                node >= 0 ? y[node] + topo.pinOffsetY[p] : topo.pinFixedY[p];
+            T px, py;
+            pinPos(p, px, py);
             xl = std::min(xl, px);
             xh = std::max(xh, px);
             yl = std::min(yl, py);
@@ -88,6 +85,29 @@ double topologyHpwl(const NetTopologyView<T>& topo, std::span<const T> params,
         return partial;
       },
       [](double acc, double partial) { return acc + partial; });
+}
+
+}  // namespace
+
+template <typename T>
+double topologyHpwl(const NetTopologyView<T>& topo, std::span<const T> params,
+                    Index numNodes) {
+  const T* x = params.data();
+  const T* y = params.data() + numNodes;
+  return netsHpwl(topo, [&](Index p, T& px, T& py) {
+    const Index node = topo.pinNode[p];
+    px = node >= 0 ? x[node] + topo.pinOffsetX[p] : topo.pinFixedX[p];
+    py = node >= 0 ? y[node] + topo.pinOffsetY[p] : topo.pinFixedY[p];
+  });
+}
+
+template <typename T>
+double pinArrayHpwl(const NetTopologyView<T>& topo, const T* pinX,
+                    const T* pinY) {
+  return netsHpwl(topo, [&](Index p, T& px, T& py) {
+    px = pinX[p];
+    py = pinY[p];
+  });
 }
 
 template <typename T>
@@ -112,6 +132,8 @@ void gatherPinGradient(const NetTopologyView<T>& topo, const T* pinGradX,
   template class NetTopology<T>;                                        \
   template double topologyHpwl<T>(const NetTopologyView<T>&,            \
                                   std::span<const T>, Index);           \
+  template double pinArrayHpwl<T>(const NetTopologyView<T>&, const T*,  \
+                                  const T*);                            \
   template void gatherPinGradient<T>(const NetTopologyView<T>&,         \
                                      const T*, const T*, T*, T*);
 

@@ -75,6 +75,15 @@ template <typename T>
 double topologyHpwl(const NetTopologyView<T>& topo, std::span<const T> params,
                     Index numNodes);
 
+/// The same HPWL from precomputed pin positions (pinX[p], pinY[p] =
+/// node center + offset, or the fixed position). Both functions share one
+/// per-net body and one 64-net double reduction, so for finite positions
+/// the two results are bit-equal — the ops use this to report HPWL from
+/// the pin arrays their evaluate() fills anyway.
+template <typename T>
+double pinArrayHpwl(const NetTopologyView<T>& topo, const T* pinX,
+                    const T* pinY);
+
 /// Accumulates per-pin gradients into per-node gradients through the
 /// node->pin CSR: gradX[c] += sum of pinGradX over c's pins, in ascending
 /// pin order. Nodes write disjoint entries, so the loop parallelizes

@@ -440,6 +440,7 @@ double WaWirelengthOp<T>::evaluate(std::span<const T> params,
   } else {
     pin_tables_.template compute<SV>(x, y, pin_x_.data(), pin_y_.data());
   }
+  this->last_hpwl_ = pinArrayHpwl(topo, pin_x_.data(), pin_y_.data());
 
   double total = 0.0;
   switch (options_.kernel) {
@@ -923,6 +924,7 @@ double LseWirelengthOp<T>::evaluate(std::span<const T> params,
     pin_tables_.template compute<SV>(x, y, pin_x_.data(), pin_y_.data());
     total = evaluateImpl<SV>(topo);
   }
+  this->last_hpwl_ = pinArrayHpwl(topo, pin_x_.data(), pin_y_.data());
   gatherPinGradient(topo, pin_grad_x_.data(), pin_grad_y_.data(),
                     grad.data(), grad.data() + num_nodes_);
   return total;

@@ -63,6 +63,13 @@ class WirelengthOp : public ObjectiveFunction<T> {
   virtual double gamma() const = 0;
   /// Exact HPWL at the given parameters (monitoring; not differentiable).
   virtual double hpwl(std::span<const T> params) const = 0;
+  /// Exact HPWL at the parameters of the last evaluate(), taken from the
+  /// pin positions that evaluate computed anyway; bit-equal to hpwl() at
+  /// the same (finite) point. 0 before the first evaluate().
+  double lastHpwl() const { return last_hpwl_; }
+
+ protected:
+  double last_hpwl_ = 0.0;
 };
 
 /// Precomputed pin-position tables: branch-free form of

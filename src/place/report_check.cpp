@@ -259,14 +259,19 @@ bool checkReport(const FlatJson& report, const FlatJson& baseline,
         }
         return false;
       }
+      // Optional "scale": the expected value is scale x the other path.
+      const auto scaleIt = baseline.numbers.find(prefix + "scale");
+      const double scale =
+          scaleIt == baseline.numbers.end() ? 1.0 : scaleIt->second;
       result.description = path + " " + op.substr(0, op.size() - 5) + " " +
+                           (scale == 1.0 ? "" : formatNumber(scale) + " x ") +
                            other;
       const auto it = report.numbers.find(other);
       if (it == report.numbers.end()) {
         result.detail = "report has no numeric value at '" + other + "'";
         expectedOk = false;
       } else {
-        expected = it->second;
+        expected = scale * it->second;
       }
     } else {
       const auto it = baseline.numbers.find(prefix + "value");

@@ -20,7 +20,8 @@
 //       "other": "counters.ops/electrostatics/solve"},
 //      ...]}
 // Ops: eq / le / ge compare against "value"; eq_path / le_path / ge_path
-// compare against the report value at "other".
+// compare against the report value at "other", times the check's
+// optional "scale" (default 1).
 #pragma once
 
 #include <map>

@@ -239,9 +239,100 @@ TEST(DensityOpTest, EnergyDecreasesAsCellsSpread) {
   }
   std::vector<double> grad(2 * static_cast<size_t>(n));
   const double e_clumped = op.evaluate(clumped, grad);
+  const double ovf_clumped = op.lastOverflow();
   const double e_spread = op.evaluate(spread, grad);
+  const double ovf_spread = op.lastOverflow();
   EXPECT_LT(e_spread, e_clumped);
-  EXPECT_LT(op.overflow(spread), op.overflow(clumped));
+  EXPECT_LT(ovf_spread, ovf_clumped);
+}
+
+/// lastOverflow() must equal the metric computed from scratch: a separate
+/// movable-only scatter plus densityOverflow at the evaluated point.
+template <typename T>
+void expectLastOverflowMatchesReference(Index cells, int binsMax) {
+  GeneratorConfig cfg;
+  cfg.numCells = cells;
+  cfg.seed = 21;
+  auto db = generateNetlist(cfg);
+  const auto grid =
+      makeGrid<T>(db->dieArea(), db->numMovable(), 16, binsMax);
+  const double target = 0.9;
+  std::vector<T> fw, fh, nodeW, nodeH;
+  computeFillers<T>(*db, target, fw, fh);
+  ASSERT_FALSE(fw.empty());
+  DensityOp<T>::makeNodeSizes(*db, fw, fh, nodeW, nodeH);
+  typename DensityOp<T>::Options opts;
+  opts.targetDensity = target;
+  DensityOp<T> op(*db, grid, nodeW, nodeH, opts);
+  const Index n = op.numNodes();
+  Rng rng(5);
+  const auto& die = db->dieArea();
+  std::vector<T> params(2 * static_cast<size_t>(n));
+  for (Index i = 0; i < n; ++i) {
+    // Clustered toward the lower-left so some bins overflow.
+    params[i] = static_cast<T>(die.xl + rng.uniform(0, 0.6) * die.width());
+    params[i + n] =
+        static_cast<T>(die.yl + rng.uniform(0, 0.6) * die.height());
+  }
+  std::vector<T> grad(params.size());
+  op.evaluate(params, grad);
+
+  std::vector<T> movable(static_cast<size_t>(grid.mx) * grid.my, T(0));
+  op.builder().scatter(params.data(), params.data() + n, 0, db->numMovable(),
+                       movable);
+  const std::vector<T> fixed = buildFixedDensityMap<T>(*db, grid);
+  const double ref = densityOverflow<T>(movable, fixed, grid, target,
+                                        db->totalMovableArea());
+  EXPECT_GT(ref, 0.0);
+  EXPECT_EQ(op.lastOverflow(), ref);
+}
+
+TEST(DensityOpTest, LastOverflowMatchesReferenceSerialScatter) {
+  // < 2048 nodes: the single-slice scatter path.
+  expectLastOverflowMatchesReference<double>(300, 64);
+}
+
+TEST(DensityOpTest, LastOverflowMatchesReferenceSlicedScatter) {
+  // Enough nodes for the multi-slice scatter, both precisions.
+  expectLastOverflowMatchesReference<double>(3000, 64);
+  expectLastOverflowMatchesReference<float>(3000, 64);
+}
+
+TEST(DensityMapTest, ScatterSplitMatchesScatterSequence) {
+  GeneratorConfig cfg;
+  cfg.numCells = 3000;
+  cfg.seed = 8;
+  auto db = generateNetlist(cfg);
+  const auto grid = makeGrid<double>(db->dieArea(), db->numMovable(), 16, 64);
+  std::vector<double> fw, fh, nodeW, nodeH;
+  computeFillers<double>(*db, 1.0, fw, fh);
+  DensityOp<double>::makeNodeSizes(*db, fw, fh, nodeW, nodeH);
+  DensityMapBuilder<double> builder(grid, nodeW, nodeH);
+  const Index n = builder.numNodes();
+  Rng rng(2);
+  const auto& die = db->dieArea();
+  std::vector<double> x(n), y(n);
+  for (Index i = 0; i < n; ++i) {
+    x[i] = die.xl + rng.uniform(0, 1) * die.width();
+    y[i] = die.yl + rng.uniform(0, 1) * die.height();
+  }
+  const std::vector<double> base = buildFixedDensityMap<double>(*db, grid);
+  const std::size_t bins = base.size();
+  std::vector<double> lower(bins), map(bins);
+  builder.scatterSplit(x.data(), y.data(), db->numMovable(), base, lower,
+                       map);
+
+  std::vector<double> ref_lower(bins, 0.0);
+  builder.scatter(x.data(), y.data(), 0, db->numMovable(), ref_lower);
+  std::vector<double> ref_map(bins);
+  for (std::size_t b = 0; b < bins; ++b) {
+    ref_map[b] = base[b] + ref_lower[b];
+  }
+  builder.scatter(x.data(), y.data(), db->numMovable(), n, ref_map);
+  for (std::size_t b = 0; b < bins; ++b) {
+    ASSERT_EQ(lower[b], ref_lower[b]) << b;
+    ASSERT_EQ(map[b], ref_map[b]) << b;
+  }
 }
 
 TEST(DensityGradientTest, ApproximatesEnergyDerivativeForSmoothCell) {

@@ -30,13 +30,14 @@ TEST_P(PoissonModeTest, SingleModeSolvedExactly) {
   PoissonSolver<double> solver(m, m);
   PoissonSolution<double> sol;
   solver.solve(rho, sol);
+  const std::vector<double> potential = solver.potential(rho);
 
   const double w2 = wu * wu + wv * wv;
   for (int x = 0; x < m; ++x) {
     for (int y = 0; y < m; ++y) {
       const size_t i = static_cast<size_t>(x) * m + y;
       const double psi = rho[i] / w2;
-      ASSERT_NEAR(sol.potential[i], psi, 1e-9) << x << "," << y;
+      ASSERT_NEAR(potential[i], psi, 1e-9) << x << "," << y;
       const double ex = wu / w2 * std::sin(wu * (x + 0.5)) *
                         std::cos(wv * (y + 0.5));
       const double ey = wv / w2 * std::cos(wu * (x + 0.5)) *
@@ -60,8 +61,9 @@ TEST(PoissonTest, UniformDensityGivesZeroField) {
   PoissonSolver<double> solver(m, m);
   PoissonSolution<double> sol;
   solver.solve(rho, sol);
+  const std::vector<double> potential = solver.potential(rho);
   for (size_t i = 0; i < rho.size(); ++i) {
-    ASSERT_NEAR(sol.potential[i], 0.0, 1e-9);
+    ASSERT_NEAR(potential[i], 0.0, 1e-9);
     ASSERT_NEAR(sol.fieldX[i], 0.0, 1e-9);
     ASSERT_NEAR(sol.fieldY[i], 0.0, 1e-9);
   }
@@ -84,8 +86,10 @@ TEST(PoissonTest, DcOffsetIsIrrelevant) {
   PoissonSolution<double> a, b;
   solver.solve(rho, a);
   solver.solve(shifted, b);
+  const std::vector<double> psi_a = solver.potential(rho);
+  const std::vector<double> psi_b = solver.potential(shifted);
   for (size_t i = 0; i < rho.size(); ++i) {
-    ASSERT_NEAR(a.potential[i], b.potential[i], 1e-8);
+    ASSERT_NEAR(psi_a[i], psi_b[i], 1e-8);
     ASSERT_NEAR(a.fieldX[i], b.fieldX[i], 1e-8);
   }
 }
@@ -113,13 +117,12 @@ TEST(PoissonTest, PotentialHasZeroMean) {
     r = rng.uniform(0, 2);
   }
   PoissonSolver<double> solver(m, m);
-  PoissonSolution<double> sol;
-  solver.solve(rho, sol);
+  const std::vector<double> potential = solver.potential(rho);
   double mean = 0;
-  for (double p : sol.potential) {
+  for (double p : potential) {
     mean += p;
   }
-  EXPECT_NEAR(mean / sol.potential.size(), 0.0, 1e-9);
+  EXPECT_NEAR(mean / potential.size(), 0.0, 1e-9);
 }
 
 TEST(PoissonTest, FieldIsDiscreteGradientOfPotential) {
@@ -136,13 +139,13 @@ TEST(PoissonTest, FieldIsDiscreteGradientOfPotential) {
   PoissonSolver<double> solver(m, m);
   PoissonSolution<double> sol;
   solver.solve(rho, sol);
+  const std::vector<double> potential = solver.potential(rho);
   double max_err = 0;
   double max_field = 0;
   for (int x = 2; x < m - 2; ++x) {
     for (int y = 2; y < m - 2; ++y) {
-      const double dpsi_dx = (sol.potential[(x + 1) * m + y] -
-                              sol.potential[(x - 1) * m + y]) /
-                             2.0;
+      const double dpsi_dx =
+          (potential[(x + 1) * m + y] - potential[(x - 1) * m + y]) / 2.0;
       const double err = std::abs(-dpsi_dx - sol.fieldX[x * m + y]);
       max_err = std::max(max_err, err);
       max_field = std::max(max_field, std::abs(sol.fieldX[x * m + y]));
@@ -159,12 +162,17 @@ TEST(PoissonTest, AllDctAlgorithmsAgree) {
     r = rng.uniform(0, 1);
   }
   PoissonSolution<double> ref, other;
-  PoissonSolver<double>(m, m, fft::Dct2dAlgorithm::kFft2dN).solve(rho, ref);
+  PoissonSolver<double> ref_solver(m, m, fft::Dct2dAlgorithm::kFft2dN);
+  ref_solver.solve(rho, ref);
+  const std::vector<double> ref_psi = ref_solver.potential(rho);
   for (auto algo : {fft::Dct2dAlgorithm::kRowCol2N,
                     fft::Dct2dAlgorithm::kRowColN}) {
-    PoissonSolver<double>(m, m, algo).solve(rho, other);
+    PoissonSolver<double> solver(m, m, algo);
+    solver.solve(rho, other);
+    const std::vector<double> psi = solver.potential(rho);
+    EXPECT_NEAR(other.energy, ref.energy, 1e-10 * std::abs(ref.energy));
     for (size_t i = 0; i < rho.size(); ++i) {
-      ASSERT_NEAR(other.potential[i], ref.potential[i], 1e-8);
+      ASSERT_NEAR(psi[i], ref_psi[i], 1e-8);
       ASSERT_NEAR(other.fieldX[i], ref.fieldX[i], 1e-8);
       ASSERT_NEAR(other.fieldY[i], ref.fieldY[i], 1e-8);
     }
@@ -216,15 +224,70 @@ TEST(PoissonFloatTest, SinglePrecisionTracksDouble) {
   }
   PoissonSolver<float> s32(m, m);
   PoissonSolver<double> s64(m, m);
-  PoissonSolution<float> a;
-  PoissonSolution<double> b;
-  s32.solve(rho32, a);
-  s64.solve(rho64, b);
+  const std::vector<float> a = s32.potential(rho32);
+  const std::vector<double> b = s64.potential(rho64);
   double err = 0;
   for (size_t i = 0; i < rho32.size(); ++i) {
-    err = std::max(err, std::abs(a.potential[i] - b.potential[i]));
+    err = std::max(err, std::abs(a[i] - b[i]));
   }
   EXPECT_LT(err, 1e-2);
+}
+
+
+/// Energy from solve() (coefficient space, Parseval) against its
+/// definition 1/2 sum_b rho_b psi_b with psi from potential(), for every
+/// DCT algorithm and both precisions.
+template <typename T>
+void expectParsevalEnergy(fft::Dct2dAlgorithm algo, double rel) {
+  const int m = 32;
+  Rng rng(53);
+  std::vector<T> rho(static_cast<size_t>(m) * m);
+  for (T& r : rho) {
+    r = static_cast<T>(rng.uniform(0, 2));
+  }
+  PoissonSolver<T> solver(m, m, algo);
+  PoissonSolution<T> sol;
+  solver.solve(rho, sol);
+  const std::vector<T> psi = solver.potential(rho);
+  double direct = 0.0;
+  for (size_t i = 0; i < rho.size(); ++i) {
+    direct += 0.5 * static_cast<double>(rho[i]) * static_cast<double>(psi[i]);
+  }
+  ASSERT_GT(direct, 0.0);
+  EXPECT_NEAR(sol.energy, direct, rel * direct);
+}
+
+class PoissonParsevalTest
+    : public ::testing::TestWithParam<fft::Dct2dAlgorithm> {};
+
+TEST_P(PoissonParsevalTest, EnergyMatchesHalfRhoPsiDouble) {
+  expectParsevalEnergy<double>(GetParam(), 1e-10);
+}
+
+TEST_P(PoissonParsevalTest, EnergyMatchesHalfRhoPsiFloat) {
+  expectParsevalEnergy<float>(GetParam(), 1e-5);
+}
+
+INSTANTIATE_TEST_SUITE_P(Algorithms, PoissonParsevalTest,
+                         ::testing::Values(fft::Dct2dAlgorithm::kRowCol2N,
+                                           fft::Dct2dAlgorithm::kRowColN,
+                                           fft::Dct2dAlgorithm::kFft2dN));
+
+TEST(PoissonTest, SolveRunsThreeTransforms) {
+  // dct2d forward plus the two field transforms; the potential idct2d is
+  // not part of a solve.
+  const int m = 16;
+  std::vector<double> rho(static_cast<size_t>(m) * m, 0.5);
+  PoissonSolver<double> solver(m, m);
+  PoissonSolution<double> sol;
+  auto& reg = CounterRegistry::instance();
+  const auto count = [&]() {
+    return reg.value("fft/dct2d") + reg.value("fft/idct2d") +
+           reg.value("fft/idct_idxst") + reg.value("fft/idxst_idct");
+  };
+  const auto before = count();
+  solver.solve(rho, sol);
+  EXPECT_EQ(count() - before, 3);
 }
 
 }  // namespace

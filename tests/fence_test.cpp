@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "gen/netlist_generator.h"
 #include "gp/global_placer.h"
 #include "ops/fence_density_op.h"
@@ -89,6 +90,65 @@ TEST(FenceDensityOpTest, GradientPushesIntrudersTowardTheirFence) {
   ASSERT_GT(n2, 0);
   EXPECT_GT(g1 / n1, 0.0);
   EXPECT_LT(g2 / n2, 0.0);
+}
+
+TEST(FenceDensityOpTest, LastOverflowMatchesReference) {
+  // Reference: per group, a separate scatter of its movable members only
+  // plus densityOverflow against the group's blocked map, weighted by the
+  // group's movable area.
+  FenceSetup setup = makeSetup(3000);
+  Database& db = *setup.db;
+  const auto grid = makeGrid<double>(db.dieArea(), db.numMovable(), 16, 64);
+  std::vector<double> fw, fh, nodeW, nodeH;
+  computeFillers<double>(db, 0.9, fw, fh);
+  ASSERT_FALSE(fw.empty());
+  DensityOp<double>::makeNodeSizes(db, fw, fh, nodeW, nodeH);
+  const std::vector<int> groups = assignFillerGroups(
+      db, setup.cellGroup, setup.fences, static_cast<Index>(fw.size()));
+  typename FenceDensityOp<double>::Options opts;
+  opts.targetDensity = 0.9;
+  FenceDensityOp<double> op(db, grid, setup.fences, groups, nodeW, nodeH,
+                            opts);
+  const Index n = op.numNodes();
+  Rng rng(12);
+  const auto& die = db.dieArea();
+  std::vector<double> params(2 * static_cast<size_t>(n));
+  for (Index i = 0; i < n; ++i) {
+    params[i] = die.xl + rng.uniform(0.2, 0.8) * die.width();
+    params[i + n] = die.yl + rng.uniform(0.2, 0.8) * die.height();
+  }
+  std::vector<double> grad(params.size());
+  op.evaluate(params, grad);
+
+  double overflow_area = 0.0;
+  double movable_area = 0.0;
+  for (int g = 0; g < op.numGroups(); ++g) {
+    const std::vector<Index>& members = op.groupMembers(g);
+    std::vector<double> x(members.size()), y(members.size());
+    Index movable = 0;
+    double area = 0.0;
+    for (size_t k = 0; k < members.size(); ++k) {
+      x[k] = params[members[k]];
+      y[k] = params[members[k] + n];
+      if (members[k] < db.numMovable()) {
+        ++movable;
+        area += db.cellArea(members[k]);
+      }
+    }
+    if (area <= 0) {
+      continue;
+    }
+    std::vector<double> map(static_cast<size_t>(grid.mx) * grid.my, 0.0);
+    op.groupBuilder(g).scatter(x.data(), y.data(), 0, movable, map);
+    overflow_area += densityOverflow<double>(map, op.groupFixedMap(g), grid,
+                                             0.9, area) *
+                     area;
+    movable_area += area;
+  }
+  ASSERT_GT(movable_area, 0.0);
+  const double ref = overflow_area / movable_area;
+  EXPECT_GT(ref, 0.0);
+  EXPECT_EQ(op.lastOverflow(), ref);
 }
 
 TEST(FenceDensityOpTest, NodeGeometryAccessors) {

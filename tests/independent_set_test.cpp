@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "db/metrics.h"
 #include "dp/independent_set.h"
@@ -63,6 +65,19 @@ TEST(HungarianTest, OptimalOnRandomInstancesVsBruteForce) {
     } while (std::next_permutation(perm.begin(), perm.end()));
     ASSERT_NEAR(hungarian, best, 1e-9) << "trial " << trial;
   }
+}
+
+TEST(HungarianTest, NonFiniteCostsReturnEmpty) {
+  // A NaN or infinite entry used to hang the augmenting search (every
+  // comparison false); such matrices are rejected up front.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(solveAssignment({{1, 2}, {nan, 3}}).empty());
+  EXPECT_TRUE(solveAssignment({{inf, 2}, {4, 3}}).empty());
+  EXPECT_TRUE(solveAssignment({{1, -inf}, {4, 3}}).empty());
+  EXPECT_TRUE(solveAssignment({{nan, nan}, {nan, nan}}).empty());
+  // Finite matrices are unaffected.
+  EXPECT_EQ(solveAssignment({{1, 2}, {2, 1}}), (std::vector<int>{0, 1}));
 }
 
 std::unique_ptr<Database> legalDesign(std::uint64_t seed) {

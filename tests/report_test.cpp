@@ -222,6 +222,27 @@ TEST(ReportTest, CheckFailsOnMissingPath) {
   EXPECT_FALSE(results[3].passed);  // present values are still constrained
 }
 
+TEST(ReportTest, PathCheckScalesOtherValue) {
+  FlatJson report;
+  std::string error;
+  ASSERT_TRUE(parseJsonFlat(R"({"a": 6, "b": 3})", report, &error)) << error;
+  FlatJson baseline;
+  ASSERT_TRUE(parseJsonFlat(
+      R"({"checks": [{"path": "a", "op": "eq_path", "other": "b",
+                      "scale": 2},
+                     {"path": "a", "op": "eq_path", "other": "b"},
+                     {"path": "a", "op": "le_path", "other": "b",
+                      "scale": 1.5}]})",
+      baseline, &error))
+      << error;
+  std::vector<CheckResult> results;
+  ASSERT_TRUE(checkReport(report, baseline, results, &error)) << error;
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_TRUE(results[0].passed);   // 6 == 2 x 3
+  EXPECT_FALSE(results[1].passed);  // scale defaults to 1
+  EXPECT_FALSE(results[2].passed);  // 6 > 1.5 x 3
+}
+
 TEST(ReportTest, CheckRejectsMalformedBaseline) {
   FlatJson report;
   std::string error;

@@ -61,6 +61,47 @@ INSTANTIATE_TEST_SUITE_P(Kernels, WaKernelTest,
                                            WirelengthKernel::kAtomic,
                                            WirelengthKernel::kMerged));
 
+/// Random node centers over the die for `numNodes` nodes (fillers
+/// included, they carry no pins).
+template <typename T>
+std::vector<T> randomParams(const Database& db, Index numNodes,
+                            std::uint64_t seed) {
+  Rng rng(seed);
+  const auto& die = db.dieArea();
+  std::vector<T> params(2 * static_cast<size_t>(numNodes));
+  for (Index i = 0; i < numNodes; ++i) {
+    params[i] = static_cast<T>(die.xl + rng.uniform(0, 1) * die.width());
+    params[i + numNodes] =
+        static_cast<T>(die.yl + rng.uniform(0, 1) * die.height());
+  }
+  return params;
+}
+
+template <typename T>
+void expectWaLastHpwlEqualsHpwl(WirelengthKernel kernel, bool simd) {
+  auto db = smallDesign(2000, 31);
+  const Index n = db->numMovable() + 17;  // trailing filler nodes
+  typename WaWirelengthOp<T>::Options opts;
+  opts.kernel = kernel;
+  opts.simd = simd;
+  opts.ignoreNetDegree = 6;  // ignored nets still count in HPWL
+  WaWirelengthOp<T> op(*db, n, opts);
+  op.setGamma(3.0);
+  for (std::uint64_t seed : {1u, 2u}) {
+    const std::vector<T> params = randomParams<T>(*db, n, seed);
+    std::vector<T> grad(params.size());
+    op.evaluate(params, grad);
+    EXPECT_EQ(op.lastHpwl(), op.hpwl(params));
+  }
+}
+
+TEST_P(WaKernelTest, LastHpwlEqualsHpwl) {
+  expectWaLastHpwlEqualsHpwl<double>(GetParam(), true);
+  expectWaLastHpwlEqualsHpwl<double>(GetParam(), false);
+  expectWaLastHpwlEqualsHpwl<float>(GetParam(), true);
+  expectWaLastHpwlEqualsHpwl<float>(GetParam(), false);
+}
+
 TEST_P(WaKernelTest, GradientMatchesFiniteDifference) {
   auto db = smallDesign(60, 5);
   const Index n = db->numMovable();
@@ -292,6 +333,25 @@ TEST(LseWirelengthTest, UpperBoundsHpwl) {
   auto params = centerParams<double>(*db, n);
   std::vector<double> grad(params.size());
   EXPECT_GE(lse.evaluate(params, grad) + 1e-9, wa.hpwl(params));
+}
+
+template <typename T>
+void expectLseLastHpwlEqualsHpwl(bool simd) {
+  auto db = smallDesign(2000, 33);
+  const Index n = db->numMovable() + 5;
+  LseWirelengthOp<T> op(*db, n, /*ignoreNetDegree=*/6, simd);
+  op.setGamma(3.0);
+  const std::vector<T> params = randomParams<T>(*db, n, 4);
+  std::vector<T> grad(params.size());
+  op.evaluate(params, grad);
+  EXPECT_EQ(op.lastHpwl(), op.hpwl(params));
+}
+
+TEST(LseWirelengthTest, LastHpwlEqualsHpwl) {
+  expectLseLastHpwlEqualsHpwl<double>(true);
+  expectLseLastHpwlEqualsHpwl<double>(false);
+  expectLseLastHpwlEqualsHpwl<float>(true);
+  expectLseLastHpwlEqualsHpwl<float>(false);
 }
 
 TEST(LseWirelengthTest, GradientMatchesFiniteDifference) {
