@@ -63,6 +63,15 @@ void FlowContext::markFlowStart() {
   ThreadPool& p = pool();
   pool_busy_start_us_ = p.busyMicros();
   pool_capacity_start_us_ = p.capacityMicros();
+  stage_pool_ = {{"gp", {}}, {"lg", {}}, {"dp", {}}};
+}
+
+void FlowContext::addStagePool(const std::string& stage,
+                               const StagePool& delta) {
+  StagePool& sum = stage_pool_[stage];
+  sum.jobs += delta.jobs;
+  sum.busyMicros += delta.busyMicros;
+  sum.capacityMicros += delta.capacityMicros;
 }
 
 FlowContext& FlowContext::current() {

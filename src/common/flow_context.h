@@ -34,8 +34,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "common/counters.h"
 #include "common/heartbeat.h"
@@ -117,16 +119,33 @@ class FlowContext {
     return cancel_.load(std::memory_order_relaxed);
   }
   /// Throws FlowCancelledError / FlowTimeoutError when the flow should
-  /// stop. Called at GP-iteration and flow-stage boundaries.
+  /// stop. Called at GP-iteration and flow-stage boundaries, and per
+  /// batch of work inside the LG and DP loops.
   void throwIfInterrupted() const;
 
   // --- Pool accounting ------------------------------------------------------
   /// Snapshots the pool's busy/capacity clocks; RunReport subtracts them
-  /// to attribute pool time to this flow (the pool may be shared).
+  /// to attribute pool time to this flow (the pool may be shared). Also
+  /// zeroes the per-stage sums below, one entry per stage ("gp", "lg",
+  /// "dp"), so every flow reports all three.
   void markFlowStart();
   std::int64_t poolBusyStartMicros() const { return pool_busy_start_us_; }
   std::int64_t poolCapacityStartMicros() const {
     return pool_capacity_start_us_;
+  }
+
+  /// Pool use of one flow stage: `parallel/jobs` and the pool's busy and
+  /// capacity clocks, each a delta summed over the stage's pipeline steps.
+  struct StagePool {
+    std::int64_t jobs = 0;
+    std::int64_t busyMicros = 0;
+    std::int64_t capacityMicros = 0;
+  };
+  /// Adds one pipeline step's deltas under its stage name. Written by
+  /// the flow's own thread only.
+  void addStagePool(const std::string& stage, const StagePool& delta);
+  const std::map<std::string, StagePool>& stagePool() const {
+    return stage_pool_;
   }
 
   /// The context installed on this thread (by FlowContextScope or a pool
@@ -155,6 +174,7 @@ class FlowContext {
 
   std::int64_t pool_busy_start_us_ = 0;
   std::int64_t pool_capacity_start_us_ = 0;
+  std::map<std::string, StagePool> stage_pool_;
 };
 
 /// RAII installer: makes `context` the current one on this thread,

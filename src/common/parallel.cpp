@@ -7,10 +7,6 @@
 #include "common/flow_context.h"
 #include "common/trace.h"
 
-#ifdef DREAMPLACE_OPENMP_FALLBACK
-#include <omp.h>
-#endif
-
 namespace dreamplace {
 namespace {
 
@@ -222,40 +218,6 @@ void ThreadPool::run(const char* label, Index numTasks,
     std::atomic<bool>& flag;
     ~SlotRelease() { flag.store(false, std::memory_order_release); }
   } slot_release{job_inflight_};
-#ifdef DREAMPLACE_OPENMP_FALLBACK
-  // Optional fallback backend: same dynamic claim loop, OpenMP threads.
-  {
-    static Counter steals("parallel/steals");
-    FlowContext& context = FlowContext::current();
-    std::atomic<Index> next{0};
-    std::atomic<std::int64_t> busy{0};
-#pragma omp parallel num_threads(num_threads)
-    {
-      FlowContextScope scope(context);
-      const int worker = omp_get_thread_num();
-      const auto thread_start = std::chrono::steady_clock::now();
-      const bool was_in_task = tl_in_pool_task;
-      tl_in_pool_task = true;
-      Index executed = 0;
-      for (Index task = next.fetch_add(1, std::memory_order_relaxed);
-           task < numTasks;
-           task = next.fetch_add(1, std::memory_order_relaxed)) {
-        fn(task, worker);
-        ++executed;
-      }
-      tl_in_pool_task = was_in_task;
-      if (executed > 0) {
-        busy.fetch_add(elapsedMicros(thread_start),
-                       std::memory_order_relaxed);
-        if (worker != 0) steals.add(executed);
-      }
-    }
-    busy_us_.fetch_add(busy.load(), std::memory_order_relaxed);
-    capacity_us_.fetch_add(elapsedMicros(start) * num_threads,
-                           std::memory_order_relaxed);
-  }
-  (void)label;
-#else
   ensureStarted(num_threads);
   Job job;
   job.fn = &fn;
@@ -283,7 +245,6 @@ void ThreadPool::run(const char* label, Index numTasks,
   }
   capacity_us_.fetch_add(elapsedMicros(start) * num_threads,
                          std::memory_order_relaxed);
-#endif
 }
 
 }  // namespace dreamplace

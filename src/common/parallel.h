@@ -18,11 +18,6 @@
 //    thread machinery. Future backends (task graphs, SIMD tiles,
 //    distributed shards) swap in behind the same three helpers.
 //
-// OpenMP remains available as an optional build fallback
-// (-DDREAMPLACE_OPENMP_FALLBACK=ON): the claim loop then runs inside an
-// `omp parallel` region instead of pool workers. It is the only OpenMP
-// site left in the tree.
-//
 // Scheduling model: a job splits [0, n) into ceil(n/grain) blocks; the
 // caller and the pool workers claim blocks dynamically from a shared
 // atomic cursor (cheap work stealing, good load balance for skewed block
@@ -130,24 +125,10 @@ class ThreadPool {
 /// it, so kernels need no pool plumbing.
 ThreadPool& currentThreadPool();
 
-/// Elementwise parallel loop: fn(i) for every i in [0, n), grouped into
-/// ceil(n/grain) dynamically-claimed blocks. Use when iterations write
-/// disjoint state (fn must not race with itself on shared writes).
-template <typename Fn>
-void parallelFor(const char* label, Index n, Index grain, Fn&& fn) {
-  if (n <= 0) return;
-  const Index g = grain > 0 ? grain : 1;
-  const Index blocks = (n + g - 1) / g;
-  currentThreadPool().run(label, blocks, [&](Index block, int) {
-    const Index lo = block * g;
-    const Index hi = std::min<Index>(lo + g, n);
-    for (Index i = lo; i < hi; ++i) fn(i);
-  });
-}
-
-/// Block-granular parallel loop: fn(begin, end, worker) per block. The
-/// worker index (in [0, threads())) lets blocks borrow per-worker scratch
-/// (e.g. FFT row buffers) without allocation.
+/// Block-granular parallel loop: fn(begin, end, worker) per block of the
+/// ceil(n/grain) dynamically-claimed blocks of [0, n). The worker index
+/// (in [0, threads())) lets blocks borrow per-worker scratch (e.g. FFT
+/// row buffers) without allocation.
 template <typename Fn>
 void parallelForBlocked(const char* label, Index n, Index grain, Fn&& fn) {
   if (n <= 0) return;
@@ -160,36 +141,24 @@ void parallelForBlocked(const char* label, Index n, Index grain, Fn&& fn) {
   });
 }
 
-/// Deterministic parallel reduction. map(begin, end) computes one block's
-/// partial; partials are combined with combine(acc, partial) in ascending
-/// block order starting from init. Because block boundaries depend only
-/// on (n, grain) and combination order is fixed, the result is
-/// bit-identical for any thread count — and identical to the serial loop
-/// the block decomposition implies.
-template <typename R, typename Map, typename Combine>
-R parallelReduce(const char* label, Index n, Index grain, R init, Map&& map,
-                 Combine&& combine) {
-  if (n <= 0) return init;
-  const Index g = grain > 0 ? grain : 1;
-  const Index blocks = (n + g - 1) / g;
-  std::vector<R> partial(static_cast<std::size_t>(blocks), init);
-  currentThreadPool().run(label, blocks, [&](Index block, int) {
-    const Index lo = block * g;
-    const Index hi = std::min<Index>(lo + g, n);
-    partial[static_cast<std::size_t>(block)] = map(lo, hi);
+/// Elementwise parallel loop: fn(i) for every i in [0, n), in the blocks
+/// of parallelForBlocked. Use when iterations write disjoint state (fn
+/// must not race with itself on shared writes).
+template <typename Fn>
+void parallelFor(const char* label, Index n, Index grain, Fn&& fn) {
+  parallelForBlocked(label, n, grain, [&](Index lo, Index hi, int) {
+    for (Index i = lo; i < hi; ++i) fn(i);
   });
-  R acc = init;
-  for (Index block = 0; block < blocks; ++block) {
-    acc = combine(acc, partial[static_cast<std::size_t>(block)]);
-  }
-  return acc;
 }
 
-/// parallelReduce with a worker index: map(begin, end, worker) may use
-/// per-worker scratch (worker in [0, threads())), exactly like
-/// parallelForBlocked. Same determinism guarantee — which worker runs a
-/// block never affects the partial it produces, and partials combine in
-/// ascending block order.
+/// Deterministic parallel reduction with a worker index: map(begin, end,
+/// worker) computes one block's partial (and may use per-worker scratch,
+/// exactly like parallelForBlocked); partials are combined with
+/// combine(acc, partial) in ascending block order starting from init.
+/// Because block boundaries depend only on (n, grain), combination order
+/// is fixed, and which worker runs a block never affects its partial,
+/// the result is bit-identical for any thread count — and identical to
+/// the serial loop the block decomposition implies.
 template <typename R, typename Map, typename Combine>
 R parallelReduceBlocked(const char* label, Index n, Index grain, R init,
                         Map&& map, Combine&& combine) {
@@ -207,6 +176,15 @@ R parallelReduceBlocked(const char* label, Index n, Index grain, R init,
     acc = combine(acc, partial[static_cast<std::size_t>(block)]);
   }
   return acc;
+}
+
+/// parallelReduceBlocked without the worker index: map(begin, end).
+template <typename R, typename Map, typename Combine>
+R parallelReduce(const char* label, Index n, Index grain, R init, Map&& map,
+                 Combine&& combine) {
+  return parallelReduceBlocked(
+      label, n, grain, init,
+      [&](Index lo, Index hi, int) { return map(lo, hi); }, combine);
 }
 
 }  // namespace dreamplace

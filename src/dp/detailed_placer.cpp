@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "common/counters.h"
+#include "common/flow_context.h"
 #include "common/log.h"
 #include "common/parallel.h"
 #include "common/timer.h"
@@ -15,19 +16,18 @@
 #include "dp/net_bbox.h"
 #include "lg/macro_legalizer.h"
 
-// Parallelization scheme (see docs/PARALLEL.md, "Parallel back-end"):
-// both DP phases are speculative propose + sequential commit. The propose
-// phase evaluates every window (reorder) or cell (swap) against a frozen
-// snapshot of positions in parallel; the commit pass then walks the same
-// items in the serial order, *stamping* every cell and net a committed
-// move touches. An item whose footprint (its cells, its incident-net
-// union, and — for reorder — the window's right span neighbour) contains
-// no stamp provably saw identical inputs in the propose phase, so its
-// precomputed result is reused; a stamped ("stale") item is re-evaluated
-// against live state. Either way each item resolves to exactly what the
-// serial loop would have computed, so results are bit-identical at any
-// thread count, including the threads==1 path that skips proposals
-// entirely.
+// Parallelization (docs/PARALLEL.md, "The back-end"): reorder and ISM
+// are serial; global swap is speculative propose + sequential commit.
+// The propose phase evaluates every swap source cell against a frozen
+// snapshot of positions in parallel; the commit pass then walks the
+// cells in the serial order, *stamping* every cell and net a committed
+// swap touches. A cell whose footprint (itself, its nets, the candidate
+// and the candidate's nets) carries no stamp provably saw identical
+// inputs in the propose phase, so its precomputed values are reused; a
+// stamped ("stale") cell is re-evaluated against live state. Either way
+// each cell resolves to exactly what the serial loop would have
+// computed, so results are bit-identical at any thread count, including
+// the threads==1 path that skips proposals entirely.
 
 namespace dreamplace {
 
@@ -82,17 +82,11 @@ struct RowIndex {
         rows[r].push_back(i);
       }
     }
-    // Rows sort independently; each row's input sequence (push order) is
-    // thread-count-invariant, so the sorted order is too.
-    parallelForBlocked("dp/row_sort", num_rows, 8,
-                       [&](Index lo, Index hi, int) {
-                         for (Index r = lo; r < hi; ++r) {
-                           std::sort(rows[r].begin(), rows[r].end(),
-                                     [&](Index a, Index b) {
-                                       return db.cellX(a) < db.cellX(b);
-                                     });
-                         }
-                       });
+    for (std::vector<Index>& row : rows) {
+      std::sort(row.begin(), row.end(), [&](Index a, Index b) {
+        return db.cellX(a) < db.cellX(b);
+      });
+    }
   }
 
   Index rowOf(Coord y) const {
@@ -207,17 +201,6 @@ void commitWindow(Database& db, NetBboxCache& cache, std::vector<Index>& row,
     x += db.cellWidth(c);
   }
 }
-
-struct WindowRef {
-  Index row = 0;
-  Index start = 0;
-};
-
-struct ReorderProposal {
-  WindowEval ev;
-  std::vector<Index> nets;  ///< Net union (cleanliness check + stamping).
-  std::vector<int> perm;    ///< Best permutation, when ev.improved.
-};
 
 // ---- Global swap ----------------------------------------------------------
 
@@ -385,19 +368,21 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
 
   NetBboxCache cache;
   RowIndex rows;
+  const FlowContext& flow = FlowContext::current();
+  // Swap source cells between two cancel/deadline polls.
+  constexpr Index kPollCells = 256;
 
-  // Per-worker scratch; worker 0's doubles as the commit-pass evaluator.
-  std::vector<ReorderScratch> rscratch;
+  ReorderScratch rscratch(db, cache, w);
+  // Per-worker swap scratch; worker 0's doubles as the commit-pass
+  // evaluator.
   std::vector<SwapScratch> sscratch;
-  rscratch.reserve(pool_threads);
   sscratch.reserve(pool_threads);
   for (int t = 0; t < pool_threads; ++t) {
-    rscratch.emplace_back(db, cache, w);
     sscratch.emplace_back(db, cache);
   }
 
   std::int64_t reorder_windows = 0, swap_candidates = 0;
-  std::int64_t reorder_stale = 0, swap_stale = 0;
+  std::int64_t swap_stale = 0;
   std::int64_t bbox_deltas = 0, bbox_rescans = 0;
   const auto drainEval = [&](NetBboxEval& e) {
     bbox_deltas += e.deltas;
@@ -406,11 +391,9 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
     e.rescans = 0;
   };
 
-  // Commit-pass stamps: cells moved and nets perturbed by commits so far
-  // in the current phase (parallel mode only).
+  // Swap commit-pass stamps: cells moved and nets perturbed by commits
+  // so far in the current pass (parallel mode only).
   std::vector<char> cell_stamp, net_stamp;
-  std::vector<WindowRef> window_refs;
-  std::vector<ReorderProposal> rprops;
   std::vector<SwapProposal> sprops;
 
   double pass_start_hpwl = result.initialHpwl;
@@ -421,101 +404,27 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
     // ---- Intra-row local reordering ------------------------------------
     {
       ScopedTimer t("dp/reorder");
-      window_refs.clear();
-      for (Index r = 0; r < static_cast<Index>(rows.rows.size()); ++r) {
-        const auto& row = rows.rows[r];
+      for (std::vector<Index>& row : rows.rows) {
+        flow.throwIfInterrupted();
         if (static_cast<int>(row.size()) < w) {
           continue;
         }
         for (std::size_t start = 0; start + w <= row.size(); ++start) {
-          window_refs.push_back({r, static_cast<Index>(start)});
+          const WindowEval ev =
+              evaluateWindow(db, rows, row, start, w, rscratch);
+          if (!ev.evaluated) {
+            continue;
+          }
+          ++reorder_windows;
+          if (!ev.improved) {
+            continue;
+          }
+          commitWindow(db, cache, row, start, w, rscratch.bestPerm,
+                       ev.spanXl);
+          ++result.reorderMoves;
         }
       }
-
-      if (parallel_mode) {
-        rprops.assign(window_refs.size(), {});
-        parallelForBlocked(
-            "dp/reorder_propose", static_cast<Index>(window_refs.size()), 8,
-            [&](Index lo, Index hi, int worker) {
-              ReorderScratch& s = rscratch[worker];
-              for (Index i = lo; i < hi; ++i) {
-                const WindowRef& wr = window_refs[i];
-                ReorderProposal& p = rprops[i];
-                p.ev = evaluateWindow(db, rows, rows.rows[wr.row], wr.start,
-                                      w, s);
-                if (p.ev.evaluated) {
-                  p.nets = s.nets;
-                  if (p.ev.improved) {
-                    p.perm.assign(s.bestPerm.begin(), s.bestPerm.end());
-                  }
-                }
-              }
-            });
-        for (auto& s : rscratch) {
-          drainEval(s.eval);
-        }
-        cell_stamp.assign(db.numCells(), 0);
-        net_stamp.assign(db.numNets(), 0);
-      }
-
-      ReorderScratch& live = rscratch[0];
-      for (std::size_t i = 0; i < window_refs.size(); ++i) {
-        std::vector<Index>& row = rows.rows[window_refs[i].row];
-        const auto start = static_cast<std::size_t>(window_refs[i].start);
-        // Clean = no commit so far touched this window's cells, its right
-        // span neighbour, or any net of its union; the proposal then saw
-        // exactly the live state and its result is reused verbatim.
-        bool clean = parallel_mode;
-        if (clean) {
-          for (int k = 0; k < w && clean; ++k) {
-            clean = !cell_stamp[row[start + k]];
-          }
-          if (clean && start + w < row.size()) {
-            clean = !cell_stamp[row[start + w]];
-          }
-          if (clean && rprops[i].ev.evaluated) {
-            for (Index e : rprops[i].nets) {
-              if (net_stamp[e]) {
-                clean = false;
-                break;
-              }
-            }
-          }
-        }
-        WindowEval ev;
-        const std::vector<Index>* nets = nullptr;
-        const std::vector<int>* perm = nullptr;
-        if (clean) {
-          ev = rprops[i].ev;
-          nets = &rprops[i].nets;
-          perm = &rprops[i].perm;
-        } else {
-          if (parallel_mode) {
-            ++reorder_stale;
-          }
-          ev = evaluateWindow(db, rows, row, start, w, live);
-          nets = &live.nets;
-          perm = &live.bestPerm;
-        }
-        if (!ev.evaluated) {
-          continue;
-        }
-        ++reorder_windows;
-        if (!ev.improved) {
-          continue;
-        }
-        commitWindow(db, cache, row, start, w, *perm, ev.spanXl);
-        if (parallel_mode) {
-          for (int k = 0; k < w; ++k) {
-            cell_stamp[row[start + k]] = 1;
-          }
-          for (Index e : *nets) {
-            net_stamp[e] = 1;
-          }
-        }
-        ++result.reorderMoves;
-      }
-      drainEval(live.eval);
+      drainEval(rscratch.eval);
     }
 
     // ---- Global swap / relocation ----------------------------------------
@@ -563,6 +472,9 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
 
       SwapScratch& live = sscratch[0];
       for (Index cell = 0; cell < db.numMovable(); ++cell) {
+        if (cell % kPollCells == 0) {
+          flow.throwIfInterrupted();
+        }
         if (isMovableMacro(db, cell)) {
           continue;
         }
@@ -694,7 +606,6 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
   reg.add("dp/bbox_delta", bbox_deltas);
   reg.add("dp/bbox_rescan", bbox_rescans + cache.maintenanceRescans);
   if (parallel_mode) {
-    reg.add("dp/reorder_stale", reorder_stale);
     reg.add("dp/swap_stale", swap_stale);
   }
 

@@ -7,8 +7,8 @@
 #include <unordered_set>
 
 #include "common/counters.h"
+#include "common/flow_context.h"
 #include "common/log.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "db/metrics.h"
 #include "dp/net_bbox.h"
@@ -118,22 +118,13 @@ IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
 
   NetBboxCache cache;
   cache.build(db);
-  const int pool_threads = currentThreadPool().threads();
-  std::vector<NetBboxEval> evals;
-  evals.reserve(pool_threads);
-  for (int t = 0; t < pool_threads; ++t) {
-    evals.emplace_back(db, cache);
-  }
+  NetBboxEval eval(db, cache);
   const auto flushCounters = [&]() {
-    std::int64_t deltas = 0, rescans = 0;
-    for (NetBboxEval& e : evals) {
-      deltas += e.deltas;
-      rescans += e.rescans;
-    }
     CounterRegistry& reg = currentCounterRegistry();
-    reg.add("dp/bbox_delta", deltas);
-    reg.add("dp/bbox_rescan", rescans + cache.maintenanceRescans);
+    reg.add("dp/bbox_delta", eval.deltas);
+    reg.add("dp/bbox_rescan", eval.rescans + cache.maintenanceRescans);
   };
+  const FlowContext& flow = FlowContext::current();
 
   static Counter nonfinite_sets("dp/ism_nonfinite_sets");
   std::unordered_set<Index> used_nets;
@@ -147,6 +138,7 @@ IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
     // (net-disjointness makes the assignment costs exact).
     size_t cursor = 0;
     while (cursor < cells.size()) {
+      flow.throwIfInterrupted();
       set.clear();
       used_nets.clear();
       for (; cursor < cells.size() &&
@@ -171,23 +163,17 @@ IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
       if (k < 2) {
         continue;
       }
-      // Cost matrix: cell i at slot j (= cell j's current position). Rows
-      // are independent pure reads of the live positions, so they fill in
-      // parallel; each entry's value is thread-count-invariant.
+      // Cost matrix: cell i at slot j (= cell j's current position).
       std::vector<std::vector<double>> cost(k, std::vector<double>(k));
-      parallelForBlocked(
-          "dp/ism_cost", k, 1, [&](Index lo, Index hi, int worker) {
-            NetBboxEval& eval = evals[worker];
-            for (Index i = lo; i < hi; ++i) {
-              eval.clearOverrides();
-              eval.setOverride(set[i], db.cellX(set[i]), db.cellY(set[i]));
-              for (int j = 0; j < k; ++j) {
-                cost[i][j] = moveCost(db, eval, set[i], db.cellX(set[j]),
-                                      db.cellY(set[j]));
-              }
-              eval.clearOverrides();
-            }
-          });
+      for (int i = 0; i < k; ++i) {
+        eval.clearOverrides();
+        eval.setOverride(set[i], db.cellX(set[i]), db.cellY(set[i]));
+        for (int j = 0; j < k; ++j) {
+          cost[i][j] = moveCost(db, eval, set[i], db.cellX(set[j]),
+                                db.cellY(set[j]));
+        }
+        eval.clearOverrides();
+      }
       double identity_cost = 0.0;
       for (int i = 0; i < k; ++i) {
         identity_cost += cost[i][i];

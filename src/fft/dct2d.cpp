@@ -14,15 +14,32 @@ namespace dreamplace::fft {
 
 namespace {
 
+/// Runs one transform pass, fn(i, worker) for every i in [0, n): a plain
+/// loop on the caller when `parallel` is false (no pool job at all),
+/// pool blocks of `grain` otherwise. Every pass writes disjoint rows or
+/// columns and per-worker scratch never influences a value, so the path
+/// never changes a result bit.
+template <typename Fn>
+void runPass(bool parallel, const char* label, Index n, Index grain,
+             Fn&& fn) {
+  if (!parallel) {
+    for (Index i = 0; i < n; ++i) fn(i, 0);
+    return;
+  }
+  parallelForBlocked(label, n, grain, [&](Index lo, Index hi, int worker) {
+    for (Index i = lo; i < hi; ++i) fn(i, worker);
+  });
+}
+
 /// Cache-blocked transpose: walks 64x64 tiles so the strided writes stay
 /// within one L1-resident tile instead of thrashing a whole column of
-/// cache lines per row on large maps. Row-tile stripes parallelize over
-/// the pool (disjoint output rows per stripe).
+/// cache lines per row on large maps. Row-tile stripes write disjoint
+/// output rows.
 template <typename T>
-void transposeBlocked(const T* in, T* out, int n1, int n2) {
+void transposeBlocked(bool parallel, const T* in, T* out, int n1, int n2) {
   constexpr int kBlock = 64;
   const Index row_tiles = (n1 + kBlock - 1) / kBlock;
-  parallelFor("fft/transpose", row_tiles, 1, [&](Index tile) {
+  runPass(parallel, "fft/transpose", row_tiles, 1, [&](Index tile, int) {
     const int ib = static_cast<int>(tile) * kBlock;
     const int iend = std::min(ib + kBlock, n1);
     for (int jb = 0; jb < n2; jb += kBlock) {
@@ -73,7 +90,10 @@ std::complex<T> unitPhase(double angle) {
 
 template <typename T>
 Dct2dPlan<T>::Dct2dPlan(int n1, int n2, Dct2dAlgorithm algo)
-    : n1_(n1), n2_(n2), algo_(algo) {
+    : n1_(n1),
+      n2_(n2),
+      algo_(algo),
+      parallel_(static_cast<std::int64_t>(n1) * n2 >= kParallelBins) {
   DP_ASSERT(n1 >= 1 && n2 >= 1);
   const size_t total = static_cast<size_t>(n1_) * n2_;
   buf_a_.resize(total);
@@ -114,7 +134,8 @@ Dct2dPlan<T>::Dct2dPlan(int n1, int n2, Dct2dAlgorithm algo)
   }
 
   spec_.resize(static_cast<size_t>(n1_) * stride_);
-  scratch_workers_ = currentThreadPool().threads();
+  // Serial plans only ever use lane 0.
+  scratch_workers_ = parallel_ ? currentThreadPool().threads() : 1;
   row_scratch_stride_ =
       std::max(row_fwd_->scratchSize(), row_inv_->scratchSize());
   col_scratch_stride_ = static_cast<size_t>(n1_) +
@@ -126,6 +147,7 @@ Dct2dPlan<T>::Dct2dPlan(int n1, int n2, Dct2dAlgorithm algo)
 
 template <typename T>
 void Dct2dPlan<T>::ensureScratch() {
+  if (!parallel_) return;
   const int workers = currentThreadPool().threads();
   if (workers <= scratch_workers_) return;
   scratch_workers_ = workers;
@@ -164,7 +186,7 @@ void Dct2dPlan<T>::rowColApply(const T* in, T* out, bool forward) {
   const DctAlgorithm algo1d = to1d(algo_);
   // The 1-D stateless transforms memoize one plan per thread, so rows
   // can run on any worker without sharing workspace.
-  parallelFor("fft/rowcol_rows", n1_, 4, [&](Index i) {
+  runPass(parallel_, "fft/rowcol_rows", n1_, 4, [&](Index i, int) {
     if (forward) {
       dct(in + static_cast<size_t>(i) * n2_,
           buf_a_.data() + static_cast<size_t>(i) * n2_, n2_, algo1d);
@@ -173,8 +195,8 @@ void Dct2dPlan<T>::rowColApply(const T* in, T* out, bool forward) {
            buf_a_.data() + static_cast<size_t>(i) * n2_, n2_, algo1d);
     }
   });
-  transposeBlocked(buf_a_.data(), buf_b_.data(), n1_, n2_);
-  parallelFor("fft/rowcol_cols", n2_, 4, [&](Index j) {
+  transposeBlocked(parallel_, buf_a_.data(), buf_b_.data(), n1_, n2_);
+  runPass(parallel_, "fft/rowcol_cols", n2_, 4, [&](Index j, int) {
     if (forward) {
       dct(buf_b_.data() + static_cast<size_t>(j) * n1_,
           buf_a_.data() + static_cast<size_t>(j) * n1_, n1_, algo1d);
@@ -183,7 +205,7 @@ void Dct2dPlan<T>::rowColApply(const T* in, T* out, bool forward) {
            buf_a_.data() + static_cast<size_t>(j) * n1_, n1_, algo1d);
     }
   });
-  transposeBlocked(buf_a_.data(), out, n2_, n1_);
+  transposeBlocked(parallel_, buf_a_.data(), out, n2_, n1_);
 }
 
 /// Single-pass 2-D DCT via one 2-D real FFT (paper Algorithm 4 / Makhoul).
@@ -196,7 +218,7 @@ template <typename T>
 void Dct2dPlan<T>::forwardFft2d(const T* in, T* out) {
   ensureScratch();
   // Reorder both dimensions (eq. (10)).
-  parallelFor("fft/reorder", n1_, 4, [&](Index t1) {
+  runPass(parallel_, "fft/reorder", n1_, 4, [&](Index t1, int) {
     const T* src = in + static_cast<size_t>(reorder1_[t1]) * n2_;
     T* dst = buf_a_.data() + static_cast<size_t>(t1) * n2_;
     for (int t2 = 0; t2 < n2_; ++t2) {
@@ -206,37 +228,30 @@ void Dct2dPlan<T>::forwardFft2d(const T* in, T* out) {
 
   // One-sided real FFT along dim1; each block borrows its worker's
   // scratch lane.
-  parallelForBlocked("fft/rows", n1_, 4,
-                     [&](Index begin, Index end, int worker) {
-                       for (Index t1 = begin; t1 < end; ++t1) {
-                         row_fwd_->forward(
-                             buf_a_.data() + static_cast<size_t>(t1) * n2_,
-                             spec_.data() + static_cast<size_t>(t1) * stride_,
-                             rowScratch(worker));
-                       }
-                     });
+  runPass(parallel_, "fft/rows", n1_, 4, [&](Index t1, int worker) {
+    row_fwd_->forward(buf_a_.data() + static_cast<size_t>(t1) * n2_,
+                      spec_.data() + static_cast<size_t>(t1) * stride_,
+                      rowScratch(worker));
+  });
 
   // Complex FFT along dim0, column by column.
-  parallelForBlocked(
-      "fft/cols", h2_ + 1, 4, [&](Index begin, Index end, int worker) {
-        std::complex<T>* col = colScratch(worker);
-        for (Index k2 = begin; k2 < end; ++k2) {
-          for (int t1 = 0; t1 < n1_; ++t1) {
-            col[t1] = spec_[static_cast<size_t>(t1) * stride_ + k2];
-          }
-          col_fwd_->execute(col, col + n1_);
-          for (int t1 = 0; t1 < n1_; ++t1) {
-            spec_[static_cast<size_t>(t1) * stride_ + k2] = col[t1];
-          }
-        }
-      });
+  runPass(parallel_, "fft/cols", h2_ + 1, 4, [&](Index k2, int worker) {
+    std::complex<T>* col = colScratch(worker);
+    for (int t1 = 0; t1 < n1_; ++t1) {
+      col[t1] = spec_[static_cast<size_t>(t1) * stride_ + k2];
+    }
+    col_fwd_->execute(col, col + n1_);
+    for (int t1 = 0; t1 < n1_; ++t1) {
+      spec_[static_cast<size_t>(t1) * stride_ + k2] = col[t1];
+    }
+  });
 
   // Twiddle pass:
   //   X(k1,k2) = 1/2 Re(e^{-j a1 k1} (e^{-j a2 k2} A + e^{+j a2 k2} B))
   // with A = V(k1,k2), B = V(k1,(n2-k2) mod n2); the one-sided storage is
   // expanded through the Hermitian symmetry V(k1,k2) = conj(V((n1-k1)%n1,
   // n2-k2)).
-  parallelFor("fft/twiddle", n1_, 4, [&](Index k1) {
+  runPass(parallel_, "fft/twiddle", n1_, 4, [&](Index k1, int) {
     const int r1 = (n1_ - k1) % n1_;
     const std::complex<T> tw1 = tw1_[k1];
     for (int k2 = 0; k2 < n2_; ++k2) {
@@ -296,7 +311,7 @@ void Dct2dPlan<T>::inverseFft2d(const T* in, T* out, bool flip0,
   };
 
   ensureScratch();
-  parallelFor("fft/igather", n1_, 4, [&](Index t1) {
+  runPass(parallel_, "fft/igather", n1_, 4, [&](Index t1, int) {
     const std::complex<T> tw1 = std::conj(tw1_[t1]);
     for (int t2 = 0; t2 <= h2_; ++t2) {
       const std::complex<T> tw2 = std::conj(tw2_[t2]);
@@ -308,34 +323,27 @@ void Dct2dPlan<T>::inverseFft2d(const T* in, T* out, bool flip0,
   });
 
   // Inverse complex FFT along dim0.
-  parallelForBlocked(
-      "fft/icols", h2_ + 1, 4, [&](Index begin, Index end, int worker) {
-        std::complex<T>* col = colScratch(worker);
-        for (Index t2 = begin; t2 < end; ++t2) {
-          for (int t1 = 0; t1 < n1_; ++t1) {
-            col[t1] = spec_[static_cast<size_t>(t1) * stride_ + t2];
-          }
-          col_inv_->execute(col, col + n1_);
-          for (int t1 = 0; t1 < n1_; ++t1) {
-            spec_[static_cast<size_t>(t1) * stride_ + t2] = col[t1];
-          }
-        }
-      });
+  runPass(parallel_, "fft/icols", h2_ + 1, 4, [&](Index t2, int worker) {
+    std::complex<T>* col = colScratch(worker);
+    for (int t1 = 0; t1 < n1_; ++t1) {
+      col[t1] = spec_[static_cast<size_t>(t1) * stride_ + t2];
+    }
+    col_inv_->execute(col, col + n1_);
+    for (int t1 = 0; t1 < n1_; ++t1) {
+      spec_[static_cast<size_t>(t1) * stride_ + t2] = col[t1];
+    }
+  });
 
   // Inverse real FFT along dim1.
-  parallelForBlocked("fft/irows", n1_, 4,
-                     [&](Index begin, Index end, int worker) {
-                       for (Index t1 = begin; t1 < end; ++t1) {
-                         row_inv_->inverse(
-                             spec_.data() + static_cast<size_t>(t1) * stride_,
-                             buf_a_.data() + static_cast<size_t>(t1) * n2_,
-                             rowScratch(worker));
-                       }
-                     });
+  runPass(parallel_, "fft/irows", n1_, 4, [&](Index t1, int worker) {
+    row_inv_->inverse(spec_.data() + static_cast<size_t>(t1) * stride_,
+                      buf_a_.data() + static_cast<size_t>(t1) * n2_,
+                      rowScratch(worker));
+  });
 
   // Inverse reorder (eq. (13)), scale, and the fused (-1)^k signs.
   const T scale = static_cast<T>(n1_) * static_cast<T>(n2_) / T(4);
-  parallelFor("fft/ireorder", n1_, 4, [&](Index k1) {
+  runPass(parallel_, "fft/ireorder", n1_, 4, [&](Index k1, int) {
     const T* src = buf_a_.data() + static_cast<size_t>(inv_reorder1_[k1]) * n2_;
     const T row_scale = (flip0 && (k1 & 1)) ? -scale : scale;
     T* dst = out + static_cast<size_t>(k1) * n2_;

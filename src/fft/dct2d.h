@@ -20,6 +20,7 @@
 #pragma once
 
 #include <complex>
+#include <cstdint>
 #include <vector>
 
 #include "common/memory.h"
@@ -35,14 +36,22 @@ enum class Dct2dAlgorithm {
   kFft2dN,
 };
 
+/// Grid size (n1*n2 bins) from which a Dct2dPlan runs its passes as pool
+/// jobs. Below it every pass is one plain loop on the calling thread: on
+/// a 4-vCPU KVM host, bench_fig11_dct's 2D-N transforms ran 0.7-1.4x
+/// as fast at 4 threads as at 1 on 128^2 maps and 1.6-2.2x on 256^2
+/// (docs/PARALLEL.md), so a fork-join only pays from 256^2 up.
+inline constexpr std::int64_t kParallelBins = 256 * 256;
+
 /// Reusable 2-D transform plan for one (n1, n2, algorithm) triple.
 ///
 /// Construction precomputes the Makhoul reorder index maps, the quarter-
 /// wave twiddle tables, the underlying 1-D FFT plans (shared through
-/// PlanCache), and sizes all workspace — including per-pool-worker row
-/// and column scratch — so the transform methods perform no trigonometry
-/// and no heap allocation (scratch regrows only if the thread pool is
-/// enlarged after plan construction). The mixed inverse transforms fuse
+/// PlanCache), and sizes all workspace — including row and column
+/// scratch, one lane per pool worker for parallel plans — so the
+/// transform methods perform no trigonometry and no heap allocation
+/// (scratch regrows only if the thread pool is enlarged after plan
+/// construction). The mixed inverse transforms fuse
 /// the paper's
 /// eq. (14)/(16) input flips and eq. (15)/(17) sign passes into the
 /// existing twiddle and reorder sweeps instead of materializing a flipped
@@ -50,9 +59,10 @@ enum class Dct2dAlgorithm {
 /// literal flip for oracle comparability).
 ///
 /// NOT thread-safe: a plan owns its workspace, so use one plan per thread
-/// (the transforms parallelize internally on the deterministic
-/// ThreadPool). In/out pointers may alias each other but must not alias
-/// plan workspace.
+/// (at or above kParallelBins the transforms parallelize internally on
+/// the deterministic ThreadPool; below it they run serially with one
+/// scratch lane). In/out pointers may alias each other but must not
+/// alias plan workspace.
 template <typename T>
 class Dct2dPlan {
  public:
@@ -61,6 +71,8 @@ class Dct2dPlan {
   int n1() const { return n1_; }
   int n2() const { return n2_; }
   Dct2dAlgorithm algorithm() const { return algo_; }
+  /// True when the grid reaches kParallelBins and passes run on the pool.
+  bool parallel() const { return parallel_; }
 
   void dct2d(const T* in, T* out);
   void idct2d(const T* in, T* out);
@@ -78,7 +90,7 @@ class Dct2dPlan {
   /// Attributes all owned workspace/table bytes to "fft/scratch".
   void trackWorkspace();
   /// Grows the per-worker scratch if the pool gained threads since plan
-  /// construction (kFft2dN only).
+  /// construction (parallel kFft2dN plans only).
   void ensureScratch();
 
   std::complex<T>* rowScratch(int worker);
@@ -89,6 +101,7 @@ class Dct2dPlan {
   int h2_ = 0;      ///< n2/2 (kFft2dN)
   int stride_ = 0;  ///< h2_+1, row stride of the one-sided spectrum
   Dct2dAlgorithm algo_;
+  bool parallel_;   ///< n1*n2 >= kParallelBins
 
   // kFft2dN state.
   std::shared_ptr<const RfftPlan<T>> row_fwd_;  ///< size n2

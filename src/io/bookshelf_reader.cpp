@@ -1,8 +1,12 @@
 #include "io/bookshelf_reader.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -27,13 +31,14 @@ class LineReader {
  public:
   explicit LineReader(const std::string& path) : path_(path), in_(path) {
     if (!in_) {
-      fail(path, "cannot open");
+      dreamplace::fail(path, "cannot open");
     }
   }
 
   /// Next meaningful line; false at EOF.
   bool next(std::string& line) {
     while (std::getline(in_, line)) {
+      ++line_number_;
       const auto hash = line.find('#');
       if (hash != std::string::npos) {
         line.erase(hash);
@@ -55,10 +60,48 @@ class LineReader {
 
   const std::string& path() const { return path_; }
 
+  /// Throws "bookshelf: <file>:<line>: <what>" for the last line read.
+  [[noreturn]] void fail(const std::string& what) const {
+    dreamplace::fail(path_ + ":" + std::to_string(line_number_), what);
+  }
+
  private:
   std::string path_;
   std::ifstream in_;
+  long line_number_ = 0;
 };
+
+/// Every number in a Bookshelf file goes through here: the whole token
+/// must parse as a finite double. Non-numeric, out-of-range and
+/// non-finite ("nan", "inf") tokens throw with the file and line, so a
+/// bad input fails its job instead of reaching the database.
+double parseNumber(const LineReader& reader, const std::string& token,
+                   const char* what) {
+  const char* begin = token.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(begin, &end);
+  if (end == begin || *end != '\0') {
+    reader.fail(std::string(what) + " '" + token + "' is not a number");
+  }
+  if (errno == ERANGE) {
+    reader.fail(std::string(what) + " '" + token + "' is out of range");
+  }
+  if (!std::isfinite(value)) {
+    reader.fail(std::string(what) + " '" + token + "' is not finite");
+  }
+  return value;
+}
+
+/// A cell width or height: a number that must be > 0.
+double parseSize(const LineReader& reader, const std::string& token,
+                 const char* what) {
+  const double value = parseNumber(reader, token, what);
+  if (value <= 0) {
+    reader.fail(std::string(what) + " '" + token + "' must be > 0");
+  }
+  return value;
+}
 
 /// Splits on whitespace and the ':' separator (treated as its own token).
 std::vector<std::string> tokenize(const std::string& line) {
@@ -133,13 +176,13 @@ void parseNodes(const std::string& path, Database& db,
       continue;  // counts are re-derived; trust the entity lines
     }
     if (tokens.size() < 3) {
-      fail(path, "bad node line: " + line);
+      reader.fail("bad node line: " + line);
     }
     const bool terminal =
         tokens.size() >= 4 &&
         (tokens[3] == "terminal" || tokens[3] == "terminal_NI");
-    const double width = std::stod(tokens[1]);
-    const double height = std::stod(tokens[2]);
+    const double width = parseSize(reader, tokens[1], "width");
+    const double height = parseSize(reader, tokens[2], "height");
     const Index id = db.addCell(tokens[0], width, height, !terminal);
     byName.emplace(tokens[0], id);
   }
@@ -160,9 +203,13 @@ void parseNets(const std::string& path, Database& db,
     if (tokens[0] == "NetDegree") {
       // "NetDegree : d [name]"
       if (tokens.size() < 3 || tokens[1] != ":") {
-        fail(path, "bad NetDegree line: " + line);
+        reader.fail("bad NetDegree line: " + line);
       }
-      remaining = static_cast<Index>(std::stol(tokens[2]));
+      const double degree = parseNumber(reader, tokens[2], "net degree");
+      if (degree < 0 || degree > std::numeric_limits<Index>::max()) {
+        reader.fail("net degree '" + tokens[2] + "' is out of range");
+      }
+      remaining = static_cast<Index>(degree);
       std::string name =
           tokens.size() >= 4 ? tokens[3] : ("n" + std::to_string(anon++));
       current_net = db.addNet(std::move(name));
@@ -170,11 +217,11 @@ void parseNets(const std::string& path, Database& db,
     }
     // Pin line: "cellName I/O/B : offx offy" (offsets optional).
     if (current_net == kInvalidIndex || remaining <= 0) {
-      fail(path, "pin line outside a net: " + line);
+      reader.fail("pin line outside a net: " + line);
     }
     auto it = byName.find(tokens[0]);
     if (it == byName.end()) {
-      fail(path, "unknown cell in net: " + tokens[0]);
+      reader.fail("unknown cell in net: " + tokens[0]);
     }
     double offx = 0.0;
     double offy = 0.0;
@@ -182,8 +229,8 @@ void parseNets(const std::string& path, Database& db,
     for (size_t i = 1; i + 2 < tokens.size() + 0u; ++i) {
       if (tokens[i] == ":") {
         if (i + 2 < tokens.size()) {
-          offx = std::stod(tokens[i + 1]);
-          offy = std::stod(tokens[i + 2]);
+          offx = parseNumber(reader, tokens[i + 1], "pin x offset");
+          offy = parseNumber(reader, tokens[i + 2], "pin y offset");
         }
         break;
       }
@@ -217,10 +264,10 @@ void parsePl(const std::string& path, Database& db,
     }
     auto it = byName.find(tokens[0]);
     if (it == byName.end()) {
-      fail(path, "unknown cell in .pl: " + tokens[0]);
+      reader.fail("unknown cell in .pl: " + tokens[0]);
     }
-    db.setCellPosition(it->second, std::stod(tokens[1]),
-                       std::stod(tokens[2]));
+    db.setCellPosition(it->second, parseNumber(reader, tokens[1], "x"),
+                       parseNumber(reader, tokens[2], "y"));
   }
 }
 
@@ -268,22 +315,22 @@ void parseScl(const std::string& path, Database& db) {
       continue;
     }
     if (tokens[0] == "Coordinate" && tokens.size() >= 3) {
-      row.y = std::stod(tokens[2]);
+      row.y = parseNumber(reader, tokens[2], "row coordinate");
     } else if (tokens[0] == "Height" && tokens.size() >= 3) {
-      row.height = std::stod(tokens[2]);
+      row.height = parseNumber(reader, tokens[2], "row height");
     } else if ((tokens[0] == "Sitewidth" || tokens[0] == "Sitespacing") &&
                tokens.size() >= 3) {
-      row.siteWidth = std::stod(tokens[2]);
+      row.siteWidth = parseNumber(reader, tokens[2], "site width");
     } else if (tokens[0] == "SubrowOrigin" && tokens.size() >= 3) {
-      row.xl = std::stod(tokens[2]);
+      row.xl = parseNumber(reader, tokens[2], "subrow origin");
       // "SubrowOrigin : x NumSites : n" may share a line.
-      for (size_t i = 3; i + 1 < tokens.size(); ++i) {
+      for (size_t i = 3; i + 2 < tokens.size(); ++i) {
         if (tokens[i] == "NumSites" && tokens[i + 1] == ":") {
-          num_sites = std::stod(tokens[i + 2]);
+          num_sites = parseNumber(reader, tokens[i + 2], "site count");
         }
       }
     } else if (tokens[0] == "NumSites" && tokens.size() >= 3) {
-      num_sites = std::stod(tokens[2]);
+      num_sites = parseNumber(reader, tokens[2], "site count");
     }
   }
   if (!any) {
@@ -305,9 +352,10 @@ void readPlacement(Database& db, const std::string& plPath) {
     }
     const Index cell = db.findCell(tokens[0]);
     if (cell == kInvalidIndex) {
-      fail(plPath, "unknown cell in .pl: " + tokens[0]);
+      reader.fail("unknown cell in .pl: " + tokens[0]);
     }
-    db.setCellPosition(cell, std::stod(tokens[1]), std::stod(tokens[2]));
+    db.setCellPosition(cell, parseNumber(reader, tokens[1], "x"),
+                       parseNumber(reader, tokens[2], "y"));
   }
 }
 

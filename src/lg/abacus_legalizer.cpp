@@ -6,8 +6,8 @@
 #include <numeric>
 
 #include "common/counters.h"
+#include "common/flow_context.h"
 #include "common/log.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "lg/segments.h"
 
@@ -140,30 +140,21 @@ LegalizerResult AbacusLegalizer::run(Database& db) const {
     return db.cellX(a) < db.cellX(b);
   });
 
-  // Candidate segments are scored in fixed *distance waves*: wave d holds
-  // the segments of rows want_row+d then want_row-d, waves are grouped
-  // into chunks of kChunkDistances, and each chunk's trials run as one
-  // parallel job followed by an ordered min-fold. The fold applies the
-  // same wave-boundary stopping rule the serial scan used, and the
-  // distance-based prune only ever skips candidates whose displacement
-  // lower bound already meets the incumbent (which can never win the
-  // strict-< argmin), so the selected segment — and therefore every final
-  // position — is identical to the one-candidate-at-a-time serial scan at
-  // any thread count.
-  constexpr Index kChunkDistances = 8;
-  constexpr std::size_t kParallelThreshold = 32;
-  const int poolThreads = currentThreadPool().threads();
-  constexpr double kInfinity = std::numeric_limits<double>::infinity();
-
-  std::vector<int> candidates;       ///< Segment index per candidate.
-  std::vector<std::size_t> waveEnd;  ///< Candidate count after each wave.
-  std::vector<Index> waveD;          ///< Distance of each wave.
-  std::vector<char> waveAny;         ///< Wave had at least one row in range.
-  std::vector<double> costs;
-  std::vector<char> tried;
+  // Candidate segments are tried outward by row distance (want_row + d,
+  // then want_row - d), stopping once no farther row can beat the best
+  // cost. A far-away segment whose displacement lower bound already
+  // meets the incumbent is skipped without a trial: its true cost is at
+  // least that bound and replacement needs a strictly smaller cost.
+  // Cells between two cancel/deadline polls.
+  constexpr std::size_t kPollCells = 256;
+  const FlowContext& flow = FlowContext::current();
   std::int64_t segments_tried = 0;
 
-  for (Index cell : order) {
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    if (k % kPollCells == 0) {
+      flow.throwIfInterrupted();
+    }
+    const Index cell = order[k];
     const Coord want_x = db.cellX(cell);
     const Coord want_y = db.cellY(cell);
     const Coord width = db.cellWidth(cell);
@@ -171,95 +162,51 @@ LegalizerResult AbacusLegalizer::run(Database& db) const {
         std::clamp<double>(std::round((want_y - y_base) / row_height), 0,
                            num_rows - 1));
 
-    double best_cost = kInfinity;
+    double best_cost = std::numeric_limits<double>::infinity();
     int best_seg = -1;
 
-    bool done = false;
-    for (Index d = 0; d < num_rows && !done; d += kChunkDistances) {
-      const Index d_end = std::min<Index>(d + kChunkDistances, num_rows);
-      candidates.clear();
-      waveEnd.clear();
-      waveD.clear();
-      waveAny.clear();
-      for (Index dd = d; dd < d_end; ++dd) {
-        bool any = false;
-        if (want_row + dd < num_rows) {
-          for (int s : by_row[want_row + dd]) {
-            candidates.push_back(s);
-          }
-          any = true;
-        }
-        if (dd > 0 && want_row - dd >= 0) {
-          for (int s : by_row[want_row - dd]) {
-            candidates.push_back(s);
-          }
-          any = true;
-        }
-        waveD.push_back(dd);
-        waveAny.push_back(any);
-        waveEnd.push_back(candidates.size());
-      }
-
-      const std::size_t n = candidates.size();
-      costs.resize(n);
-      tried.assign(n, 0);
-      const double chunk_best = best_cost;
-      const auto score = [&](std::size_t i) {
-        const SegmentCells& segment = segments[candidates[i]];
+    const auto try_row = [&](Index r) {
+      for (int s : by_row[r]) {
+        const SegmentCells& segment = segments[s];
         if (want_x + width < segment.seg.xl || want_x > segment.seg.xh) {
-          // Far-away segment: its displacement cannot beat the chunk-start
-          // incumbent, so skip the trial (a skipped candidate's true cost
-          // is >= the incumbent, so it can never win the strict-< fold).
           const double lower_bound =
               std::max<double>(segment.seg.xl - want_x - width,
                                want_x - segment.seg.xh) +
               std::abs(segment.seg.y - want_y);
-          if (lower_bound >= chunk_best) {
-            costs[i] = kInfinity;
-            return;
+          if (lower_bound >= best_cost) {
+            continue;
           }
         }
-        tried[i] = 1;
+        ++segments_tried;
         const Coord x = trialPlace(segment, 1.0, want_x, width);
-        costs[i] = std::isfinite(x)
-                       ? std::abs(x - want_x) + std::abs(segment.seg.y - want_y)
-                       : kInfinity;
-      };
-      if (poolThreads > 1 && n >= kParallelThreshold) {
-        parallelForBlocked("lg/score", static_cast<Index>(n), 8,
-                           [&](Index lo, Index hi, int) {
-                             for (Index i = lo; i < hi; ++i) {
-                               score(static_cast<std::size_t>(i));
-                             }
-                           });
-      } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          score(i);
+        if (!std::isfinite(x)) {
+          continue;
+        }
+        const double cost =
+            std::abs(x - want_x) + std::abs(segment.seg.y - want_y);
+        if (cost < best_cost) {
+          best_cost = cost;
+          best_seg = s;
         }
       }
-      for (std::size_t i = 0; i < n; ++i) {
-        segments_tried += tried[i];
-      }
+    };
 
-      // Ordered fold: replay the serial scan's wave order and stopping
-      // rule over the precomputed costs.
-      std::size_t i = 0;
-      for (std::size_t wave = 0; wave < waveEnd.size() && !done; ++wave) {
-        for (; i < waveEnd[wave]; ++i) {
-          if (costs[i] < best_cost) {
-            best_cost = costs[i];
-            best_seg = candidates[i];
-          }
-        }
-        if (!waveAny[wave]) {
-          done = true;
-          break;
-        }
-        if (best_seg >= 0 && waveD[wave] > options_.rowSearchWindow &&
-            waveD[wave] * row_height > best_cost) {
-          done = true;
-          break;
-        }
+    for (Index d = 0; d < num_rows; ++d) {
+      bool any = false;
+      if (want_row + d < num_rows) {
+        try_row(want_row + d);
+        any = true;
+      }
+      if (d > 0 && want_row - d >= 0) {
+        try_row(want_row - d);
+        any = true;
+      }
+      if (!any) {
+        break;
+      }
+      if (best_seg >= 0 && d > options_.rowSearchWindow &&
+          d * row_height > best_cost) {
+        break;
       }
     }
 

@@ -1,5 +1,6 @@
 #include "ops/electrostatics.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/counters.h"
@@ -34,6 +35,9 @@ PoissonSolver<T>::PoissonSolver(int mx, int my, fft::Dct2dAlgorithm algo)
       (wu_.capacity() + wv_.capacity() + inv_w2_.capacity() +
        coeff_.capacity() + zx_.capacity() + zy_.capacity()) *
       sizeof(T)));
+  if (!plan_.parallel()) {
+    field_plan_ = std::make_unique<fft::Dct2dPlan<T>>(mx, my, algo);
+  }
 }
 
 template <typename T>
@@ -62,31 +66,51 @@ void PoissonSolver<T>::solve(std::span<const T> density,
   // 1/2 sum_uv h_u h_v dct_uv z_uv with h_0 = 1/2, h_{>0} = 1 (idct2d's
   // DC weight), so it is summed here instead of transforming psi back.
   const T norm = T(4) / (static_cast<T>(mx_) * static_cast<T>(my_));
-  out.energy = parallelReduce(
-      "ops/es/coeff", mx_, 8, 0.0,
-      [&](Index u_begin, Index u_end) {
-        double partial = 0.0;
-        for (Index u = u_begin; u < u_end; ++u) {
-          const T wu = wu_[u];
-          const double hu = u == 0 ? 0.25 : 0.5;  // 1/2 * h_u
-          double row = 0.0;
-          for (int v = 0; v < my_; ++v) {
-            const size_t i = static_cast<size_t>(u) * my_ + v;
-            const T base = norm * coeff_[i] * inv_w2_[i];
-            zx_[i] = base * wu;
-            zy_[i] = base * wv_[v];
-            const double hv = v == 0 ? 0.5 : 1.0;
-            row += hv * static_cast<double>(coeff_[i]) *
-                   static_cast<double>(base);
-          }
-          partial += hu * row;
-        }
-        return partial;
-      },
-      [](double acc, double partial) { return acc + partial; });
+  const auto sweep = [&](Index u_begin, Index u_end) {
+    double partial = 0.0;
+    for (Index u = u_begin; u < u_end; ++u) {
+      const T wu = wu_[u];
+      const double hu = u == 0 ? 0.25 : 0.5;  // 1/2 * h_u
+      double row = 0.0;
+      for (int v = 0; v < my_; ++v) {
+        const size_t i = static_cast<size_t>(u) * my_ + v;
+        const T base = norm * coeff_[i] * inv_w2_[i];
+        zx_[i] = base * wu;
+        zy_[i] = base * wv_[v];
+        const double hv = v == 0 ? 0.5 : 1.0;
+        row += hv * static_cast<double>(coeff_[i]) *
+               static_cast<double>(base);
+      }
+      partial += hu * row;
+    }
+    return partial;
+  };
+  // Energy partials per block of kCoeffGrain rows, summed in block order
+  // on either path, so the energy is the same bits serial or parallel.
+  constexpr Index kCoeffGrain = 8;
 
-  plan_.idxstIdct(zx_.data(), out.fieldX.data());
-  plan_.idctIdxst(zy_.data(), out.fieldY.data());
+  if (plan_.parallel()) {
+    out.energy = parallelReduce(
+        "ops/es/coeff", mx_, kCoeffGrain, 0.0, sweep,
+        [](double acc, double partial) { return acc + partial; });
+    plan_.idxstIdct(zx_.data(), out.fieldX.data());
+    plan_.idctIdxst(zy_.data(), out.fieldY.data());
+    return;
+  }
+  double energy = 0.0;
+  for (Index u = 0; u < mx_; u += kCoeffGrain) {
+    energy += sweep(u, std::min<Index>(u + kCoeffGrain, mx_));
+  }
+  out.energy = energy;
+  // The two field transforms read disjoint inputs and write disjoint
+  // outputs on separate plans: one fork-join for the whole solve.
+  currentThreadPool().run("ops/es/fields", 2, [&](Index task, int) {
+    if (task == 0) {
+      plan_.idxstIdct(zx_.data(), out.fieldX.data());
+    } else {
+      field_plan_->idctIdxst(zy_.data(), out.fieldY.data());
+    }
+  });
 }
 
 template <typename T>

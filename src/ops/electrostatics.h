@@ -14,9 +14,16 @@
 // from three 2-D transforms per solve. The potential psi(x,y) itself
 // feeds nothing in placement; potential() computes it on request.
 //
+// Below fft::kParallelBins a solve is one pool job: the forward DCT and
+// the coefficient/energy sweep run as plain loops on the caller, then
+// the fieldX and fieldY transforms run as one 2-task job, each on its
+// own transform plan. At or above it the transforms run one after the
+// other, each parallel pass by pass (docs/PARALLEL.md).
+//
 // Maps are row-major with dim0 = x: element (bx, by) at bx*my + by.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -57,6 +64,9 @@ class PoissonSolver {
   int mx_;
   int my_;
   fft::Dct2dPlan<T> plan_;   ///< owns FFT plans + transform workspace
+  /// fieldY's plan when the two field transforms run as concurrent tasks
+  /// (serial plans only); null otherwise.
+  std::unique_ptr<fft::Dct2dPlan<T>> field_plan_;
   std::vector<T> wu_;        ///< omega_u = pi*u/mx
   std::vector<T> wv_;        ///< omega_v = pi*v/my
   std::vector<T> inv_w2_;    ///< 1/(wu^2+wv^2), 0 at DC

@@ -78,8 +78,9 @@ double topologyHpwl(const NetTopologyView<T>& topo, std::span<const T> params,
 /// The same HPWL from precomputed pin positions (pinX[p], pinY[p] =
 /// node center + offset, or the fixed position). Both functions share one
 /// per-net body and one 64-net double reduction, so for finite positions
-/// the two results are bit-equal — the ops use this to report HPWL from
-/// the pin arrays their evaluate() fills anyway.
+/// the two results are bit-equal — the net-by-net, atomic and LSE
+/// kernels use this to report HPWL from the pin arrays their evaluate()
+/// fills anyway.
 template <typename T>
 double pinArrayHpwl(const NetTopologyView<T>& topo, const T* pinX,
                     const T* pinY);

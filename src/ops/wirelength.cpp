@@ -440,13 +440,18 @@ double WaWirelengthOp<T>::evaluate(std::span<const T> params,
   } else {
     pin_tables_.template compute<SV>(x, y, pin_x_.data(), pin_y_.data());
   }
-  this->last_hpwl_ = pinArrayHpwl(topo, pin_x_.data(), pin_y_.data());
 
   double total = 0.0;
   switch (options_.kernel) {
-    case WirelengthKernel::kMerged:
-      total = use_simd ? evaluateMerged<NV>(topo) : evaluateMerged<SV>(topo);
+    case WirelengthKernel::kMerged: {
+      // The merged pass scans every net's min/max anyway, so it sums the
+      // HPWL alongside the WL.
+      const MergedSums sums =
+          use_simd ? evaluateMerged<NV>(topo) : evaluateMerged<SV>(topo);
+      total = sums.wl;
+      this->last_hpwl_ = sums.hpwl;
       break;
+    }
     case WirelengthKernel::kNetByNet:
       total = use_simd ? evaluateNetByNet<NV>(topo)
                        : evaluateNetByNet<SV>(topo);
@@ -456,6 +461,9 @@ double WaWirelengthOp<T>::evaluate(std::span<const T> params,
       break;
     default:
       logFatal("unknown wirelength kernel");
+  }
+  if (options_.kernel != WirelengthKernel::kMerged) {
+    this->last_hpwl_ = pinArrayHpwl(topo, pin_x_.data(), pin_y_.data());
   }
   // Shared backward tail: fold the per-pin gradients every kernel wrote
   // into per-node gradients in fixed pin order (deterministic, no
@@ -491,9 +499,15 @@ double WaWirelengthOp<T>::evaluate(std::span<const T> params,
 // only on the netlist, never the thread count, and per-block WL
 // partials combine in block order — the total matches the serial net
 // order exactly.
+//
+// The exact HPWL rides along: dim 0 keeps each net's x-span, dim 1 adds
+// weight * (x-span + y-span) in net order for every net of degree >= 2
+// (ignored nets too). kMergedGrain equals netsHpwl's 64-net block, and
+// min/max are exact, so the sum is bit-equal to hpwl() (ops/net_topology).
 template <typename T>
 template <typename V>
-double WaWirelengthOp<T>::evaluateMerged(const NetTopologyView<T>& topo) {
+typename WaWirelengthOp<T>::MergedSums WaWirelengthOp<T>::evaluateMerged(
+    const NetTopologyView<T>& topo) {
   constexpr Index kW = V::kWidth;
   const Index num_nets = topo.numNets();
   const T inv_gamma = static_cast<T>(1.0 / gamma_);
@@ -501,7 +515,7 @@ double WaWirelengthOp<T>::evaluateMerged(const NetTopologyView<T>& topo) {
   ensureMergedScratch(currentThreadPool().threads());
 
   return parallelReduceBlocked(
-      "ops/wl/merged", num_nets, kMergedGrain, 0.0,
+      "ops/wl/merged", num_nets, kMergedGrain, MergedSums{},
       [&](Index block_begin, Index block_end, int worker) {
         T* row = merged_scratch_.data() +
                  merged_row_ * static_cast<std::size_t>(worker);
@@ -515,7 +529,8 @@ double WaWirelengthOp<T>::evaluateMerged(const NetTopologyView<T>& topo) {
         T* a_minus = row + 3 * static_cast<std::size_t>(pins);
         T* mn_net = row + 4 * static_cast<std::size_t>(merged_block_pins_);
         T* mx_net = mn_net + kMergedGrain;
-        double partial = 0.0;
+        T span_x[kMergedGrain];
+        MergedSums partial;
         for (int dim = 0; dim < 2; ++dim) {
           const T* pos = dim == 0 ? pin_x_.data() : pin_y_.data();
           T* pin_grad = dim == 0 ? pin_grad_x_.data() : pin_grad_y_.data();
@@ -526,7 +541,8 @@ double WaWirelengthOp<T>::evaluateMerged(const NetTopologyView<T>& topo) {
             const Index end = topo.netEnd(e);
             const Index degree = end - begin;
             const Index lo = begin - pins_begin;
-            if (net_ignored_[e] || degree < 2) {
+            const bool active = !net_ignored_[e] && degree >= 2;
+            if (!active) {
               // Keep the strip well-defined: pass 2 exps every slot, and
               // stale bytes could be subnormal (a many-cycle stall per
               // touch on x86) or NaN.
@@ -534,10 +550,21 @@ double WaWirelengthOp<T>::evaluateMerged(const NetTopologyView<T>& topo) {
                 arg_plus[lo + i] = T(0);
                 arg_minus[lo + i] = T(0);
               }
-              continue;
+              if (degree < 2) {
+                continue;
+              }
             }
             T mn, mx;
             netMinMax<V>(pos, begin, end, mn, mx);
+            if (dim == 0) {
+              span_x[e - block_begin] = mx - mn;
+            } else {
+              partial.hpwl += static_cast<double>(
+                  topo.netWeight[e] * (span_x[e - block_begin] + (mx - mn)));
+            }
+            if (!active) {
+              continue;
+            }
             if (degree >= kW) {
               const V vmax = V::broadcast(mx);
               const V vmin = V::broadcast(mn);
@@ -616,7 +643,7 @@ double WaWirelengthOp<T>::evaluateMerged(const NetTopologyView<T>& topo) {
             const T k_plus = cp / bp;    // arg-space mean, <= 0
             const T k_minus = cm / bm;   // arg-space mean, <= 0
             const T span = mx_net[e - block_begin] - mn_net[e - block_begin];
-            partial += static_cast<double>(
+            partial.wl += static_cast<double>(
                 weight * (span + gamma * (k_plus + k_minus)));
 
             // Backward fused into the same kernel; each pin entry is
@@ -657,7 +684,9 @@ double WaWirelengthOp<T>::evaluateMerged(const NetTopologyView<T>& topo) {
         }
         return partial;
       },
-      [](double acc, double partial) { return acc + partial; });
+      [](MergedSums acc, MergedSums partial) {
+        return MergedSums{acc.wl + partial.wl, acc.hpwl + partial.hpwl};
+      });
 }
 
 // Net-level forward and backward as separate passes with all intermediates

@@ -64,8 +64,9 @@ class WirelengthOp : public ObjectiveFunction<T> {
   /// Exact HPWL at the given parameters (monitoring; not differentiable).
   virtual double hpwl(std::span<const T> params) const = 0;
   /// Exact HPWL at the parameters of the last evaluate(), taken from the
-  /// pin positions that evaluate computed anyway; bit-equal to hpwl() at
-  /// the same (finite) point. 0 before the first evaluate().
+  /// pin positions that evaluate computed anyway (the merged WA kernel
+  /// sums it inside its own net pass); bit-equal to hpwl() at the same
+  /// (finite) point. 0 before the first evaluate().
   double lastHpwl() const { return last_hpwl_; }
 
  protected:
@@ -127,8 +128,13 @@ class WaWirelengthOp final : public WirelengthOp<T> {
   NetTopologyView<T> topology() const { return topo_.view(); }
 
  private:
+  /// WL and exact HPWL summed by one merged-kernel reduction.
+  struct MergedSums {
+    double wl = 0.0;
+    double hpwl = 0.0;
+  };
   template <typename V>
-  double evaluateMerged(const NetTopologyView<T>& topo);
+  MergedSums evaluateMerged(const NetTopologyView<T>& topo);
   template <typename V>
   double evaluateNetByNet(const NetTopologyView<T>& topo);
   template <typename V>

@@ -95,12 +95,11 @@ bool isOrderDependentCounter(std::string_view key) {
     return true;
   }
   // Back-end bbox-cache traffic and staleness depend on thread count: the
-  // parallel propose+commit scheme evaluates speculative proposals (and
-  // re-evaluates stale ones) that the serial path never computes, so these
-  // tallies vary with pool size even though every placement result is
-  // bit-identical.
-  if (key.substr(0, 8) == "dp/bbox_" || key == "dp/reorder_stale" ||
-      key == "dp/swap_stale") {
+  // parallel swap propose+commit scheme evaluates speculative proposals
+  // (and re-evaluates stale ones) that the serial path never computes, so
+  // these tallies vary with pool size even though every placement result
+  // is bit-identical.
+  if (key.substr(0, 8) == "dp/bbox_" || key == "dp/swap_stale") {
     return true;
   }
   // Pool scheduling: who started the workers, how blocks were claimed,

@@ -9,6 +9,7 @@
 #include "common/counters.h"
 #include "common/flow_context.h"
 #include "common/log.h"
+#include "common/parallel.h"
 #include "common/serialize.h"
 #include "db/metrics.h"
 #include "lg/macro_legalizer.h"
@@ -262,6 +263,15 @@ std::size_t restoreFromCheckpoint(
   return data.stageCursor;
 }
 
+/// The flow's `parallel/jobs` count and its pool's busy/capacity clocks
+/// now; the pipeline charges their change across a step to the step's
+/// stage.
+FlowContext::StagePool poolClocks(FlowContext& flow) {
+  ThreadPool& pool = flow.pool();
+  return {flow.counters().value("parallel/jobs"), pool.busyMicros(),
+          pool.capacityMicros()};
+}
+
 }  // namespace
 
 // --- FlowCheckpointer ------------------------------------------------------
@@ -363,12 +373,21 @@ void FlowPipeline::run(StageContext& context) {
       last_stage = stage.heartbeatStage();
     }
     Timer stage_timer;
+    const FlowContext::StagePool pool_before = poolClocks(flow);
     {
       std::optional<ScopedTimer> scope;
       if (stage.timerKey() != nullptr) {
         scope.emplace(stage.timerKey());
       }
       stage.run(context);
+    }
+    if (stage.heartbeatStage() != FlowStage::kDone) {
+      const FlowContext::StagePool pool_after = poolClocks(flow);
+      flow.addStagePool(
+          flowStageName(stage.heartbeatStage()),
+          {pool_after.jobs - pool_before.jobs,
+           pool_after.busyMicros - pool_before.busyMicros,
+           pool_after.capacityMicros - pool_before.capacityMicros});
     }
     if (double* slot = stage.secondsSlot(context.result)) {
       *slot += stage_timer.elapsed();

@@ -242,6 +242,7 @@ RunReport buildRunReport(const Database& db, const PlacerOptions& options,
   report.poolUtilization =
       cap_us > 0 ? std::clamp(static_cast<double>(busy_us) / cap_us, 0.0, 1.0)
                  : 0.0;
+  report.poolByStage = context.stagePool();
 
   report.simdEnabled = simd::kEnabled;
   report.simdIsa = simd::activeIsaName();
@@ -350,6 +351,18 @@ std::string RunReport::toJson() const {
   j.key("busy_s"); j.value(poolBusySeconds);
   j.key("capacity_s"); j.value(poolCapacitySeconds);
   j.key("utilization"); j.value(poolUtilization);
+  j.key("by_stage");
+  j.openObject();
+  for (const auto& [stage, pool] : poolByStage) {
+    j.key(stage);
+    j.openObject();
+    j.key("jobs"); j.value(pool.jobs);
+    j.key("busy_s"); j.value(static_cast<double>(pool.busyMicros) * 1e-6);
+    j.key("capacity_s");
+    j.value(static_cast<double>(pool.capacityMicros) * 1e-6);
+    j.closeObject();
+  }
+  j.closeObject();
   j.closeObject();
 
   j.key("simd");
@@ -499,6 +512,14 @@ std::string RunReport::toText() const {
                 threads, poolBusySeconds, poolCapacitySeconds,
                 100.0 * poolUtilization);
   add();
+  for (const auto& [stage, pool] : poolByStage) {
+    std::snprintf(line, sizeof(line),
+                  "  %-6s %8" PRId64 " jobs, %.3fs busy / %.3fs capacity\n",
+                  stage.c_str(), pool.jobs,
+                  static_cast<double>(pool.busyMicros) * 1e-6,
+                  static_cast<double>(pool.capacityMicros) * 1e-6);
+    add();
+  }
 
   std::snprintf(line, sizeof(line),
                 "simd: %s (%s, %d/%d lanes f32/f64)\n",

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/counters.h"
+#include "common/flow_context.h"
 #include "common/memory.h"
 #include "common/timer.h"
 #include "db/database.h"
@@ -80,6 +81,9 @@ struct RunReport {
   double poolBusySeconds = 0.0;
   double poolCapacitySeconds = 0.0;
   double poolUtilization = 0.0;
+  /// The same split by flow stage ("gp", "lg", "dp"; FlowContext::
+  /// stagePool): pool jobs and busy/capacity time of each stage's steps.
+  std::map<std::string, FlowContext::StagePool> poolByStage;
 
   // SIMD kernel layer (common/simd.h): whether the HwVec kernels were
   // compiled in, which ISA they target, and the native lane widths —

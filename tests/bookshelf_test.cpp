@@ -217,5 +217,43 @@ TEST_F(BookshelfTest, WritePlacementOnly) {
   EXPECT_EQ(lines, db->numCells());
 }
 
+// A bad cell size (not positive, not finite, not a number, or out of
+// range) fails the read with the file and line instead of reaching
+// Database::validate's assertion.
+class BadNodeSizeTest : public BookshelfTest,
+                        public ::testing::WithParamInterface<const char*> {};
+
+TEST_P(BadNodeSizeTest, ThrowsWithFileAndLine) {
+  const std::string token = GetParam();
+  {
+    std::ofstream aux(dir_ / "size.aux");
+    aux << "RowBasedPlacement : size.nodes size.nets size.pl size.scl\n";
+  }
+  {
+    std::ofstream nodes(dir_ / "size.nodes");
+    nodes << "UCLA nodes 1.0\n"
+          << "c0 4 12\n"
+          << "c1 " << token << " 12\n";
+  }
+  std::ofstream(dir_ / "size.nets") << "NetDegree : 2\nc0 I\nc1 O\n";
+  std::ofstream(dir_ / "size.pl") << "c0 0 0 : N\nc1 10 0 : N\n";
+  std::ofstream(dir_ / "size.scl")
+      << "CoreRow Horizontal\n Coordinate : 0\n Height : 12\n"
+      << " Sitewidth : 1\n SubrowOrigin : 0 NumSites : 100\nEnd\n";
+  try {
+    readBookshelf((dir_ / "size.aux").string());
+    FAIL() << "width '" << token << "' was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string where =
+        "bookshelf: " + (dir_ / "size.nodes").string() + ":3: width '" +
+        token + "'";
+    EXPECT_EQ(std::string(e.what()).rfind(where, 0), 0u) << e.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tokens, BadNodeSizeTest,
+                         ::testing::Values("0", "-5", "nan", "abc", "1e400",
+                                           "inf"));
+
 }  // namespace
 }  // namespace dreamplace

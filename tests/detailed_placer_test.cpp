@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/flow_context.h"
 #include "common/rng.h"
 #include "db/metrics.h"
 #include "dp/detailed_placer.h"
@@ -91,6 +92,24 @@ TEST(DetailedPlacerTest, IdempotentOnConvergedPlacement) {
   const auto again = DetailedPlacer(options).run(*db);
   // A second full run should find (almost) nothing at the fixed point.
   EXPECT_NEAR(again.finalHpwl, converged, 0.003 * converged);
+}
+
+// DP polls the flow's cancel and deadline per reorder row and per batch
+// of swap cells (ISM per set: IsmTest.HonoursCancel).
+TEST(DetailedPlacerTest, HonoursCancelAndDeadline) {
+  auto db = legalizedDesign(37);
+  {
+    FlowContext context;
+    context.requestCancel();
+    FlowContextScope scope(context);
+    EXPECT_THROW(DetailedPlacer().run(*db), FlowCancelledError);
+  }
+  {
+    FlowContext context;
+    context.setDeadline(std::chrono::steady_clock::now());
+    FlowContextScope scope(context);
+    EXPECT_THROW(DetailedPlacer().run(*db), FlowTimeoutError);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/counters.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "ops/electrostatics.h"
 
@@ -289,6 +290,44 @@ TEST(PoissonTest, SolveRunsThreeTransforms) {
   solver.solve(rho, sol);
   EXPECT_EQ(count() - before, 3);
 }
+
+// Below fft::kParallelBins a whole solve is one fork-join: the forward
+// DCT and the coefficient sweep run on the caller, the two field
+// transforms as one 2-task pool job. At 4 threads it must give the same
+// bits as the 1-thread solve, for every DCT formulation.
+class PoissonForkJoinTest
+    : public ::testing::TestWithParam<fft::Dct2dAlgorithm> {};
+
+TEST_P(PoissonForkJoinTest, SmallGridSolveIsOnePoolJob) {
+  const int m = 128;
+  static_assert(128 * 128 < fft::kParallelBins);
+  Rng rng(29);
+  std::vector<double> rho(static_cast<size_t>(m) * m);
+  for (double& r : rho) {
+    r = rng.uniform(0, 1);
+  }
+  auto& reg = CounterRegistry::instance();
+  const auto solveAt = [&](int threads, PoissonSolution<double>& sol) {
+    ThreadPool::instance().setThreads(threads);
+    PoissonSolver<double> solver(m, m, GetParam());
+    const auto before = reg.value("parallel/jobs");
+    solver.solve(rho, sol);
+    return reg.value("parallel/jobs") - before;
+  };
+  PoissonSolution<double> serial;
+  PoissonSolution<double> pooled;
+  EXPECT_EQ(solveAt(1, serial), 1);
+  EXPECT_EQ(solveAt(4, pooled), 1);
+  ThreadPool::instance().setThreads(0);
+  EXPECT_EQ(pooled.fieldX, serial.fieldX);
+  EXPECT_EQ(pooled.fieldY, serial.fieldY);
+  EXPECT_EQ(pooled.energy, serial.energy);
+}
+
+INSTANTIATE_TEST_SUITE_P(Algorithms, PoissonForkJoinTest,
+                         ::testing::Values(fft::Dct2dAlgorithm::kRowCol2N,
+                                           fft::Dct2dAlgorithm::kRowColN,
+                                           fft::Dct2dAlgorithm::kFft2dN));
 
 }  // namespace
 }  // namespace dreamplace

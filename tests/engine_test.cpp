@@ -8,6 +8,7 @@
 // with no leakage from earlier flows.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -17,6 +18,7 @@
 
 #include "common/flow_context.h"
 #include "common/metrics_export.h"
+#include "common/rng.h"
 #include "gen/netlist_generator.h"
 #include "place/engine.h"
 #include "place/report_check.h"
@@ -297,6 +299,72 @@ TEST(EngineTest, TimeoutProducesTimedOutStatusWithoutRetry) {
   EXPECT_FALSE(batch.jobs[0].error.empty());
   EXPECT_EQ(batch.timedOut, 1);
   EXPECT_FALSE(batch.allSucceeded());
+}
+
+/// A warm-start (LG+DP only) job on `numCells` cells scattered uniformly
+/// over the die, so the back-end has real work.
+PlacementJob warmStartJob(std::vector<std::unique_ptr<Database>>& keepAlive,
+                          std::uint64_t seed, Index numCells) {
+  keepAlive.push_back(engineDesign(seed, numCells));
+  Database& db = *keepAlive.back();
+  Rng rng(seed + 1000);
+  const Box<Coord>& die = db.dieArea();
+  for (Index i = 0; i < db.numMovable(); ++i) {
+    db.setCellPosition(i, rng.uniform(die.xl, die.xh - db.cellWidth(i)),
+                       rng.uniform(die.yl, die.yh - db.cellHeight(i)));
+  }
+  PlacementJob job;
+  job.db = &db;
+  job.name = "warm" + std::to_string(seed);
+  job.options = engineFlow();
+  job.options.runGlobalPlacement = false;
+  return job;
+}
+
+// LG and DP poll the job's deadline, so a warm-start job whose deadline
+// is far shorter than its back-end runtime ends timed_out, and its batch
+// siblings are bit-identical to the same jobs in a clean batch.
+TEST(EngineTest, BackendHonoursJobDeadline) {
+  EngineOptions engineOptions;
+  engineOptions.maxConcurrentJobs = 3;
+  PlacementEngine engine(engineOptions);
+
+  std::vector<std::unique_ptr<Database>> cleanDbs;
+  std::vector<PlacementJob> clean;
+  clean.push_back(warmStartJob(cleanDbs, 7, 600));
+  clean.push_back(warmStartJob(cleanDbs, 8, 600));
+  const BatchReport cleanBatch = engine.run(std::move(clean));
+
+  std::vector<std::unique_ptr<Database>> dbs;
+  std::vector<PlacementJob> jobs;
+  jobs.push_back(warmStartJob(dbs, 7, 600));
+  jobs.push_back(warmStartJob(dbs, 8, 600));
+  PlacementJob slow = warmStartJob(dbs, 12, 8000);
+  slow.name = "slow";
+  slow.attemptHook = [](int) {
+    FlowContext::current().setDeadline(std::chrono::steady_clock::now() +
+                                       std::chrono::milliseconds(10));
+  };
+  jobs.push_back(std::move(slow));
+  const BatchReport batch = engine.run(std::move(jobs));
+
+  ASSERT_EQ(batch.jobs.size(), 3u);
+  EXPECT_EQ(batch.jobs[2].status, JobStatus::kTimedOut);
+  EXPECT_EQ(batch.jobs[2].attempts, 1);
+  EXPECT_EQ(batch.timedOut, 1);
+  ASSERT_EQ(cleanBatch.jobs.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const JobReport& c = cleanBatch.jobs[i];
+    const JobReport& j = batch.jobs[i];
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(c.status, JobStatus::kSucceeded);
+    EXPECT_EQ(j.status, JobStatus::kSucceeded);
+    EXPECT_EQ(j.result.hpwlLegal, c.result.hpwlLegal);
+    EXPECT_EQ(j.result.hpwl, c.result.hpwl);
+    EXPECT_EQ(j.result.legal, c.result.legal);
+    EXPECT_EQ(deterministicCounters(j.report.counters),
+              deterministicCounters(c.report.counters));
+  }
 }
 
 TEST(EngineTest, FailingAttemptIsRetriedThenSucceeds) {

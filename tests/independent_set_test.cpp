@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "common/flow_context.h"
 #include "common/rng.h"
 #include "db/metrics.h"
 #include "dp/independent_set.h"
@@ -141,6 +142,14 @@ TEST(IsmTest, ConvergesToFixedPoint) {
   }
   EXPECT_LT(passes, 40) << "last gain " << gain;
   EXPECT_TRUE(checkLegality(*db).legal);
+}
+
+TEST(IsmTest, HonoursCancel) {
+  auto db = legalDesign(41);
+  FlowContext context;
+  context.requestCancel();
+  FlowContextScope scope(context);
+  EXPECT_THROW(independentSetMatching(*db, IsmOptions()), FlowCancelledError);
 }
 
 }  // namespace

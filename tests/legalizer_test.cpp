@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/flow_context.h"
 #include "common/rng.h"
 #include "db/metrics.h"
 #include "gen/netlist_generator.h"
@@ -146,6 +147,16 @@ TEST(LegalizerTest, SiteAlignmentExact) {
     const double offset = (db->cellX(i) - base) / site;
     EXPECT_NEAR(offset, std::round(offset), 1e-9) << db->cellName(i);
   }
+}
+
+// Abacus polls the flow's cancel and deadline between cell batches, so a
+// job past its deadline stops inside LG instead of at the next stage.
+TEST(AbacusTest, HonoursDeadline) {
+  auto db = randomizedDesign(23);
+  FlowContext context;
+  context.setDeadline(std::chrono::steady_clock::now());
+  FlowContextScope scope(context);
+  EXPECT_THROW(AbacusLegalizer().run(*db), FlowTimeoutError);
 }
 
 }  // namespace

@@ -89,6 +89,11 @@ TEST(ReportTest, JsonSchemaGolden) {
            "result.legal", "stages.gp_s", "stages.lg_s", "stages.dp_s",
            "stages.io_s", "stages.total_s", "parallel.threads",
            "parallel.busy_s", "parallel.capacity_s", "parallel.utilization",
+           "parallel.by_stage.gp.jobs", "parallel.by_stage.gp.busy_s",
+           "parallel.by_stage.gp.capacity_s", "parallel.by_stage.lg.jobs",
+           "parallel.by_stage.lg.busy_s", "parallel.by_stage.lg.capacity_s",
+           "parallel.by_stage.dp.jobs", "parallel.by_stage.dp.busy_s",
+           "parallel.by_stage.dp.capacity_s",
            "simd.enabled", "simd.width_f32", "simd.width_f64",
            "gp_runs.0.iterations",
            "gp_runs.0.overflow", "timing.gp.count", "timing.gp.incl_s",
@@ -142,6 +147,15 @@ TEST(ReportTest, JsonSchemaGolden) {
   EXPECT_GE(report.numbers.at("parallel.threads"), 1.0);
   EXPECT_GE(report.numbers.at("parallel.utilization"), 0.0);
   EXPECT_LE(report.numbers.at("parallel.utilization"), 1.0);
+  // The stage split covers GP's fork-joins and never exceeds the flow's
+  // total (finalize runs outside the three stages).
+  const double stage_jobs = report.numbers.at("parallel.by_stage.gp.jobs") +
+                            report.numbers.at("parallel.by_stage.lg.jobs") +
+                            report.numbers.at("parallel.by_stage.dp.jobs");
+  EXPECT_GT(report.numbers.at("parallel.by_stage.gp.jobs"), 0.0);
+  EXPECT_LE(stage_jobs, report.numbers.at("counters.parallel/jobs"));
+  EXPECT_LE(report.numbers.at("parallel.by_stage.gp.busy_s"),
+            report.numbers.at("parallel.busy_s"));
   // The simd section mirrors the build: lane widths are >= 1 always, and
   // the active width counter published by the wirelength op matches.
   EXPECT_FALSE(report.strings.at("simd.isa").empty());

@@ -102,6 +102,37 @@ TEST_P(WaKernelTest, LastHpwlEqualsHpwl) {
   expectWaLastHpwlEqualsHpwl<float>(GetParam(), false);
 }
 
+// Pool jobs per evaluate, pinned exactly. Merged: pin positions, the
+// fused WL+HPWL+gradient pass, and the pin-to-node gather. The pass-per-
+// intermediate kernels add the separate HPWL pass and one job per pass
+// and dimension (net-by-net: forward, backward; atomic: min/max, a, b,
+// c, WL, gradient).
+TEST_P(WaKernelTest, EvaluateForkJoinBudget) {
+  auto db = smallDesign(2000, 31);
+  const Index n = db->numMovable();
+  WaWirelengthOp<double>::Options opts;
+  opts.kernel = GetParam();
+  WaWirelengthOp<double> op(*db, n, opts);
+  op.setGamma(3.0);
+  const std::vector<double> params = randomParams<double>(*db, n, 1);
+  std::vector<double> grad(params.size());
+  auto& reg = CounterRegistry::instance();
+  const auto before = reg.value("parallel/jobs");
+  op.evaluate(params, grad);
+  const auto jobs = reg.value("parallel/jobs") - before;
+  switch (GetParam()) {
+    case WirelengthKernel::kMerged:
+      EXPECT_EQ(jobs, 3);
+      break;
+    case WirelengthKernel::kNetByNet:
+      EXPECT_EQ(jobs, 3 + 2 * 2);
+      break;
+    case WirelengthKernel::kAtomic:
+      EXPECT_EQ(jobs, 3 + 2 * 6);
+      break;
+  }
+}
+
 TEST_P(WaKernelTest, GradientMatchesFiniteDifference) {
   auto db = smallDesign(60, 5);
   const Index n = db->numMovable();
