@@ -6,6 +6,11 @@
 // pass, density-related computation outweighs wirelength (73.4% vs
 // 26.5%), and with the fast DCT the spectral solve is no longer the
 // density bottleneck.
+//
+// Writes both tables to BENCH_fig9.json (--json=<file> or
+// DREAMPLACE_BENCH_JSON override the path; empty disables): flow rows
+// flow/{gp,lg,dp,io,total} and per-op rows op/{wirelength,scatter,
+// poisson,gather}, in ms, with n = the design's cell count.
 #include <filesystem>
 
 #include "bench_util.h"
@@ -13,9 +18,11 @@
 #include "gen/netlist_generator.h"
 #include "io/bookshelf_writer.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dreamplace;
   using namespace dreamplace::bench;
+
+  const std::string json_path = benchJsonPath(argc, argv, "BENCH_fig9.json");
 
   const double scale = benchScale(0.01);
   const SuiteEntry entry = findSuiteEntry("bigblue4", scale);
@@ -71,5 +78,31 @@ int main() {
   std::printf("\npaper shape check: density share of pass = %.1f%% "
               "(paper: 73.4%%), DP share of flow = %.1f%% (paper: ~82%%)\n",
               100.0 * density / pass, pct(result.dpSeconds));
+
+  if (!json_path.empty()) {
+    BenchJsonWriter writer("fig9_breakdown");
+    const auto n = static_cast<std::int64_t>(entry.config.numCells);
+    writer.addResult("flow/gp", n, result.gpSeconds * 1000);
+    writer.addResult("flow/lg", n, result.lgSeconds * 1000);
+    writer.addResult("flow/dp", n, result.dpSeconds * 1000);
+    writer.addResult("flow/io", n, io * 1000);
+    writer.addResult("flow/total", n, grand * 1000);
+    writer.addResult("op/wirelength", n, wl * 1000);
+    writer.addResult("op/scatter", n, scatter * 1000);
+    writer.addResult("op/poisson", n, poisson * 1000);
+    writer.addResult("op/gather", n, gather * 1000);
+    for (const auto& [key, value] : report.counters) {
+      if (key.compare(0, 4, "ops/") == 0 || key.compare(0, 5, "simd/") == 0) {
+        writer.addCounter(key, value);
+      }
+    }
+    if (writer.write(json_path)) {
+      std::printf("bench json written to %s\n", json_path.c_str());
+    } else {
+      std::fprintf(stderr, "bench json: cannot write %s\n",
+                   json_path.c_str());
+      return 1;
+    }
+  }
   return 0;
 }

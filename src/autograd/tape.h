@@ -6,9 +6,10 @@
 // DREAMPlace's CUDA ops do), but the framework also carries this tape so
 // new objective terms can be prototyped without deriving gradients —
 // exactly the "write the forward, get the backward" workflow PyTorch
-// offers. The wirelength-op unit tests use it as an oracle: the WA and
-// LSE closed-form gradients are checked against tape-differentiated
-// versions of the same formulas.
+// offers. The wirelength-op unit tests use it as an oracle: the merged WA
+// (lane-group and solo nets) and LSE closed-form gradients are checked
+// against tape-differentiated versions of the same formulas
+// (WirelengthTapeOracleTest in tests/wirelength_test.cpp).
 //
 // Usage:
 //   Tape tape;
@@ -245,7 +246,7 @@ inline Var minimum(Var a, Var b) {
                           left ? 1.0 : 0.0, b.index_, left ? 0.0 : 1.0)};
 }
 
-/// Balanced-tree sum of a span of Vars.
+/// Left-to-right sum of a span of Vars.
 inline Var sum(std::span<const Var> vars) {
   DP_ASSERT(!vars.empty());
   Var acc = vars[0];

@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "common/types.h"
 
@@ -95,6 +96,16 @@ struct ScalarVec {
   }
   void store(T* p) const {
     for (int i = 0; i < N; ++i) p[i] = lane[i];
+  }
+  /// Lane i = base[idx[i]] (one element per lane from anywhere).
+  static ScalarVec gather(const T* base, const Index* idx) {
+    ScalarVec r;
+    for (int i = 0; i < N; ++i) r.lane[i] = base[idx[i]];
+    return r;
+  }
+  /// base[idx[i]] = lane i; the indices must be distinct.
+  void scatter(T* base, const Index* idx) const {
+    for (int i = 0; i < N; ++i) base[idx[i]] = lane[i];
   }
   T operator[](int i) const { return lane[i]; }
 
@@ -155,6 +166,23 @@ inline T hmax(ScalarVec<T, N> a) {
   return s;
 }
 
+/// Every lane = lane I.
+template <int I, typename T, int N>
+inline ScalarVec<T, N> splat(ScalarVec<T, N> a) {
+  return ScalarVec<T, N>::broadcast(a.lane[I]);
+}
+/// In-place transpose of the 4x4 matrix whose rows are r0..r3.
+template <typename T>
+inline void transpose4(ScalarVec<T, 4>& r0, ScalarVec<T, 4>& r1,
+                       ScalarVec<T, 4>& r2, ScalarVec<T, 4>& r3) {
+  ScalarVec<T, 4>* rows[4] = {&r0, &r1, &r2, &r3};
+  for (int i = 0; i < 4; ++i) {
+    for (int j = i + 1; j < 4; ++j) {
+      std::swap(rows[i]->lane[j], rows[j]->lane[i]);
+    }
+  }
+}
+
 /// Scalar-family vexp: exactly std::exp per lane. The fallback therefore
 /// has libm accuracy (0 ULP vs std::exp) and is the reference the
 /// polynomial path is ULP-tested against.
@@ -195,6 +223,17 @@ struct HwVec {
     return r;
   }
   void store(T* p) const { std::memcpy(p, &v, sizeof(Native)); }
+  /// Lane i = base[idx[i]]: per-lane inserts (no portable hardware
+  /// gather in the vector extensions).
+  static HwVec gather(const T* base, const Index* idx) {
+    HwVec r;
+    for (int i = 0; i < N; ++i) r.v[i] = base[idx[i]];
+    return r;
+  }
+  /// base[idx[i]] = lane i; the indices must be distinct.
+  void scatter(T* base, const Index* idx) const {
+    for (int i = 0; i < N; ++i) base[idx[i]] = v[i];
+  }
   T operator[](int i) const { return v[i]; }
 
   friend HwVec operator+(HwVec a, HwVec b) { return {a.v + b.v}; }
@@ -235,6 +274,11 @@ inline T hmax(HwVec<T, N> a) {
 }
 
 namespace detail {
+
+template <int I, typename Native, std::size_t... Is>
+inline Native splatImpl(Native v, std::index_sequence<Is...>) {
+  return __builtin_shufflevector(v, v, ((void)Is, I)...);
+}
 
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
 inline constexpr bool kLittleEndian = true;
@@ -287,6 +331,25 @@ struct ExpConst<double> {
 };
 
 }  // namespace detail
+
+/// Every lane = lane I (one shuffle).
+template <int I, typename T, int N>
+inline HwVec<T, N> splat(HwVec<T, N> a) {
+  return {detail::splatImpl<I>(a.v, std::make_index_sequence<N>{})};
+}
+/// In-register transpose of the 4x4 matrix whose rows are r0..r3.
+template <typename T>
+inline void transpose4(HwVec<T, 4>& r0, HwVec<T, 4>& r1, HwVec<T, 4>& r2,
+                       HwVec<T, 4>& r3) {
+  const auto t0 = __builtin_shufflevector(r0.v, r1.v, 0, 4, 1, 5);
+  const auto t1 = __builtin_shufflevector(r2.v, r3.v, 0, 4, 1, 5);
+  const auto t2 = __builtin_shufflevector(r0.v, r1.v, 2, 6, 3, 7);
+  const auto t3 = __builtin_shufflevector(r2.v, r3.v, 2, 6, 3, 7);
+  r0.v = __builtin_shufflevector(t0, t1, 0, 1, 4, 5);
+  r1.v = __builtin_shufflevector(t0, t1, 2, 3, 6, 7);
+  r2.v = __builtin_shufflevector(t2, t3, 0, 1, 4, 5);
+  r3.v = __builtin_shufflevector(t2, t3, 2, 3, 6, 7);
+}
 
 /// Vectorized exp, float: Cephes expf — degree-5 polynomial for exp(r)
 /// after x = k*ln2 + r reduction (k = rint(x*log2e), so |r| <= ln2/2),
@@ -410,10 +473,19 @@ inline constexpr int kNativeBytes = 16;
 template <typename T>
 using NativeVec = HwVec<T, kNativeBytes / static_cast<int>(sizeof(T))>;
 
+/// N lanes of T whatever the native width (e.g. the 4-bin columns of the
+/// density footprint): HwVec, or ScalarVec when SIMD is OFF. Both apply
+/// the same correctly-rounded operation per lane, so the results agree.
+template <typename T, int N>
+using FixedVec = HwVec<T, N>;
+
 #else  // DREAMPLACE_SIMD_DISABLED
 
 template <typename T>
 using NativeVec = ScalarVec<T, 1>;
+
+template <typename T, int N>
+using FixedVec = ScalarVec<T, N>;
 
 #endif
 

@@ -139,8 +139,13 @@ LegalityReport checkLegality(const Database& db, double tolerance) {
 
   for (Index i = 0; i < db.numMovable(); ++i) {
     const Box<Coord> box = db.cellBox(i);
-    if (box.xl < die.xl - tolerance || box.xh > die.xh + tolerance ||
-        box.yl < die.yl - tolerance || box.yh > die.yh + tolerance) {
+    // Every comparison with NaN is false, so a non-finite box would pass
+    // each check below; it is in no region.
+    const bool finite = std::isfinite(box.xl) && std::isfinite(box.xh) &&
+                        std::isfinite(box.yl) && std::isfinite(box.yh);
+    if (!finite || box.xl < die.xl - tolerance ||
+        box.xh > die.xh + tolerance || box.yl < die.yl - tolerance ||
+        box.yh > die.yh + tolerance) {
       ++report.outOfRegion;
     }
     if (row_height > 0) {

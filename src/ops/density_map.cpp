@@ -150,42 +150,91 @@ DensityMapBuilder<T>::DensityMapBuilder(const DensityGrid<T>& grid,
 
 template <typename T>
 template <typename Visit>
-void DensityMapBuilder<T>::forEachOverlapStrip(const T* x, const T* y,
-                                               Index node,
-                                               Visit visit) const {
+void DensityMapBuilder<T>::forEachSubRect(const T* x, const T* y, Index node,
+                                          Visit visit) const {
   const int sub = options_.subdivision;
   const T w = eff_w_[node];
   const T h = eff_h_[node];
-  const T sub_w = w / sub;
-  const T sub_h = h / sub;
   const T node_xl = x[node] - w / 2;
   const T node_yl = y[node] - h / 2;
+  const auto visitRect = [&](T xl, T xh, T yl, T yh) {
+    SubRect r;
+    r.xl = xl;
+    r.xh = xh;
+    r.yl = yl;
+    r.yh = yh;
+    r.bx0 = static_cast<int>(std::floor((xl - grid_.xl) * inv_bin_w_));
+    r.bx1 = static_cast<int>(std::ceil((xh - grid_.xl) * inv_bin_w_));
+    r.by0 = static_cast<int>(std::floor((yl - grid_.yl) * inv_bin_h_));
+    r.by1 = static_cast<int>(std::ceil((yh - grid_.yl) * inv_bin_h_));
+    r.bx0 = std::max(r.bx0, 0);
+    r.by0 = std::max(r.by0, 0);
+    r.bx1 = std::min(r.bx1, grid_.mx);
+    r.by1 = std::min(r.by1, grid_.my);
+    visit(r);
+  };
+  if (sub == 1) {
+    // The general loop's arithmetic with w / 1 == w and 0 * w == 0.
+    visitRect(node_xl, node_xl + w, node_yl, node_yl + h);
+    return;
+  }
+  const T sub_w = w / sub;
+  const T sub_h = h / sub;
   // Sub-rectangles emulate the paper's multiple-threads-per-cell scheme;
   // each is scattered independently (with sub > 1 the bin-boundary work is
   // partitioned at finer granularity, at the cost of extra index math).
   for (int sx = 0; sx < sub; ++sx) {
     for (int sy = 0; sy < sub; ++sy) {
       const T xl = node_xl + sx * sub_w;
-      const T xh = xl + sub_w;
       const T yl = node_yl + sy * sub_h;
-      const T yh = yl + sub_h;
-      int bx0 = static_cast<int>(std::floor((xl - grid_.xl) * inv_bin_w_));
-      int bx1 = static_cast<int>(std::ceil((xh - grid_.xl) * inv_bin_w_));
-      int by0 = static_cast<int>(std::floor((yl - grid_.yl) * inv_bin_h_));
-      int by1 = static_cast<int>(std::ceil((yh - grid_.yl) * inv_bin_h_));
-      bx0 = std::max(bx0, 0);
-      by0 = std::max(by0, 0);
-      bx1 = std::min(bx1, grid_.mx);
-      by1 = std::min(by1, grid_.my);
-      for (int bx = bx0; bx < bx1; ++bx) {
-        const T bin_xl = grid_.xl + bx * grid_.binW;
-        const T ox = std::min(xh, bin_xl + grid_.binW) - std::max(xl, bin_xl);
-        if (ox <= 0) {
-          continue;
-        }
-        visit(bx, by0, by1, ox, yl, yh);
-      }
+      visitRect(xl, xl + sub_w, yl, yl + sub_h);
     }
+  }
+}
+
+template <typename T>
+bool DensityMapBuilder<T>::inFootprint(const SubRect& r) const {
+  return r.bx0 < r.bx1 && r.by0 < r.by1 && r.bx1 - r.bx0 <= kFootprint &&
+         r.by1 - r.by0 <= kFootprint && r.bx0 + kFootprint <= grid_.mx &&
+         r.by0 + kFootprint <= grid_.my;
+}
+
+template <typename T>
+template <typename V4>
+void DensityMapBuilder<T>::footprintOverlaps(const SubRect& r, V4& ox,
+                                             V4& oy) const {
+  // keep + (4 - n) has its first n lanes 1 and the rest 0; the multiply
+  // zeroes the lanes past the span exactly (their overlaps are >= 0).
+  static constexpr T kKeep[2 * kFootprint] = {1, 1, 1, 1, 0, 0, 0, 0};
+  const V4 zero = V4::zero();
+  // Bin edges and overlaps exactly as forEachOverlapStrip and the strip
+  // kernels compute them: edge = index * binSize + gridOrigin, overlap =
+  // min(hi, edge + binSize) - max(lo, edge), clamped at 0.
+  const V4 bin_w = V4::broadcast(grid_.binW);
+  const V4 bin_xl = fma(V4::iota() + V4::broadcast(static_cast<T>(r.bx0)),
+                        bin_w, V4::broadcast(grid_.xl));
+  ox = max(zero, min(V4::broadcast(r.xh), bin_xl + bin_w) -
+                     max(V4::broadcast(r.xl), bin_xl)) *
+       V4::load(kKeep + kFootprint - (r.bx1 - r.bx0));
+  const V4 bin_h = V4::broadcast(grid_.binH);
+  const V4 bin_yl = fma(V4::iota() + V4::broadcast(static_cast<T>(r.by0)),
+                        bin_h, V4::broadcast(grid_.yl));
+  oy = max(zero, min(V4::broadcast(r.yh), bin_yl + bin_h) -
+                     max(V4::broadcast(r.yl), bin_yl)) *
+       V4::load(kKeep + kFootprint - (r.by1 - r.by0));
+}
+
+template <typename T>
+template <typename Visit>
+void DensityMapBuilder<T>::forEachOverlapStrip(const SubRect& r,
+                                               Visit visit) const {
+  for (int bx = r.bx0; bx < r.bx1; ++bx) {
+    const T bin_xl = grid_.xl + bx * grid_.binW;
+    const T ox = std::min(r.xh, bin_xl + grid_.binW) - std::max(r.xl, bin_xl);
+    if (ox <= 0) {
+      continue;
+    }
+    visit(bx, r.by0, r.by1, ox);
   }
 }
 
@@ -206,12 +255,27 @@ template <typename T>
 void DensityMapBuilder<T>::scatterNode(const T* x, const T* y, Index node,
                                        T* map) const {
   using V = simd::NativeVec<T>;
+  using V4 = simd::FixedVec<T, kFootprint>;
   const T q = scale_[node] * inv_bin_area_;
-  forEachOverlapStrip(
-      x, y, node, [&](int bx, int by0, int by1, T ox, T yl, T yh) {
-        addOverlapStrip<V>(map + bx * grid_.my, by0, by1, q * ox, yl, yh,
-                           grid_.yl, grid_.binH);
-      });
+  forEachSubRect(x, y, node, [&](const SubRect& r) {
+    if (inFootprint(r)) {
+      V4 ox, oy;
+      footprintOverlaps(r, ox, oy);
+      // Lane i of qox is q * ox_i, the strip kernels' per-column factor.
+      const V4 qox = V4::broadcast(q) * ox;
+      T* col = map + r.bx0 * grid_.my + r.by0;
+      const int my = grid_.my;
+      (V4::load(col) + simd::splat<0>(qox) * oy).store(col);
+      (V4::load(col + my) + simd::splat<1>(qox) * oy).store(col + my);
+      (V4::load(col + 2 * my) + simd::splat<2>(qox) * oy).store(col + 2 * my);
+      (V4::load(col + 3 * my) + simd::splat<3>(qox) * oy).store(col + 3 * my);
+      return;
+    }
+    forEachOverlapStrip(r, [&](int bx, int by0, int by1, T ox) {
+      addOverlapStrip<V>(map + bx * grid_.my, by0, by1, q * ox, r.yl, r.yh,
+                         grid_.yl, grid_.binH);
+    });
+  });
 }
 
 template <typename T>
@@ -323,19 +387,51 @@ void DensityMapBuilder<T>::gatherForce(const T* x, const T* y,
                                        T* gy) const {
   const Index n = numNodes();
   using V = simd::NativeVec<T>;
+  using V4 = simd::FixedVec<T, kFootprint>;
   // Nodes write disjoint gradient entries, so the backward gather needs
-  // no synchronization; blocks over the area-sorted order keep the
-  // per-block cost roughly even.
-  parallelFor("ops/density/gather", n, 256, [&](Index k) {
-    const Index node = order_[k];
+  // no synchronization.
+  parallelFor("ops/density/gather", n, 256, [&](Index node) {
     T fx = 0;
     T fy = 0;
-    forEachOverlapStrip(
-        x, y, node, [&](int bx, int by0, int by1, T ox, T yl, T yh) {
-          const int b = bx * grid_.my;
-          dotOverlapStrip<V>(fieldX.data() + b, fieldY.data() + b, by0, by1,
-                             ox, yl, yh, grid_.yl, grid_.binH, fx, fy);
-        });
+    forEachSubRect(x, y, node, [&](const SubRect& r) {
+      if (inFootprint(r)) {
+        V4 ox, oy;
+        footprintOverlaps(r, ox, oy);
+        const std::size_t b0 = static_cast<std::size_t>(r.bx0) * grid_.my +
+                               static_cast<std::size_t>(r.by0);
+        const T* col_x = fieldX.data() + b0;
+        const T* col_y = fieldY.data() + b0;
+        // After the transpose r_j holds row j of the 4 columns, and lane i
+        // of a_j is ox_i * oy_j, so lane i of the sum is column i's dot
+        // product folded in row order (the strip kernels' sx); the column
+        // sums then join fx in column order.
+        const int my = grid_.my;
+        const V4 a0 = ox * simd::splat<0>(oy);
+        const V4 a1 = ox * simd::splat<1>(oy);
+        const V4 a2 = ox * simd::splat<2>(oy);
+        const V4 a3 = ox * simd::splat<3>(oy);
+        const auto fold = [&](const T* col, T& f) {
+          V4 r0 = V4::load(col);
+          V4 r1 = V4::load(col + my);
+          V4 r2 = V4::load(col + 2 * my);
+          V4 r3 = V4::load(col + 3 * my);
+          simd::transpose4(r0, r1, r2, r3);
+          const V4 sum = ((a0 * r0 + a1 * r1) + a2 * r2) + a3 * r3;
+          f += sum[0];
+          f += sum[1];
+          f += sum[2];
+          f += sum[3];
+        };
+        fold(col_x, fx);
+        fold(col_y, fy);
+        return;
+      }
+      forEachOverlapStrip(r, [&](int bx, int by0, int by1, T ox) {
+        const int b = bx * grid_.my;
+        dotOverlapStrip<V>(fieldX.data() + b, fieldY.data() + b, by0, by1,
+                           ox, r.yl, r.yh, grid_.yl, grid_.binH, fx, fy);
+      });
+    });
     const T q = scale_[node] * inv_bin_area_;
     // Density gradient is minus the electric force; the 1/bin scale
     // converts the field from bin-index to layout coordinates.

@@ -10,6 +10,18 @@
 //    (the warp-balancing trick), optionally splitting each cell into
 //    k x k sub-rectangles processed as independent tasks (the
 //    "multiple threads per cell" ablation of Fig. 6).
+//
+// Per (sub-)rectangle, one of two shapes does the bin work:
+//  * the 4x4 footprint: a rectangle spanning at most 4 bin columns and 4
+//    bin rows whose 4x4 block (from its first bin) lies inside the grid —
+//    almost every smoothed cell — computes its 4 x-overlaps and 4
+//    y-overlaps as one 4-lane vector each (lanes past the span masked to
+//    an exact 0), then scatters 4 column read-add-writes of (q*ox)*oy or
+//    gathers 4 column dot products; no loop depends on the span;
+//  * y-strips (forEachOverlapStrip) for every other rectangle.
+// Both compute each bin's overlap with the same arithmetic, and the
+// masked lanes add exact zeros, so maps and gradients are bit-identical
+// whichever shape a rectangle takes.
 #pragma once
 
 #include <span>
@@ -84,6 +96,8 @@ class DensityMapBuilder {
   /// Gathers field onto node gradients:
   ///   gx[i] -= sum_b q_ib * fieldX_b / binArea / binW   (and same for y),
   /// i.e. the electric force with the sign of a density-penalty gradient.
+  /// Nodes are walked in index order (each node's gradient is
+  /// independent of the others, so the order only affects locality).
   void gatherForce(const T* x, const T* y, std::span<const T> fieldX,
                    std::span<const T> fieldY, T* gx, T* gy) const;
 
@@ -93,16 +107,32 @@ class DensityMapBuilder {
   T chargeScale(Index node) const { return scale_[node]; }
 
  private:
-  /// Decomposes a node's overlap with the bin grid into contiguous
-  /// y-strips: visit(bx, by0, by1, ox, yl, yh) once per bin column the
-  /// node (sub-rectangle) overlaps, where ox is the x overlap with
-  /// column bx and [yl, yh) the sub-rectangle's y extent. The per-bin y
-  /// overlaps are then lane math on consecutive bins (common/simd.h),
-  /// and the bin-index searches use the precomputed 1/binW, 1/binH
-  /// instead of dividing per sub-rectangle.
+  /// Bins per side of the fixed scatter/gather footprint.
+  static constexpr int kFootprint = 4;
+  /// One sub-rectangle of a node and its bin range [bx0, bx1) x
+  /// [by0, by1), clamped to the grid.
+  struct SubRect {
+    T xl, xh, yl, yh;
+    int bx0, bx1, by0, by1;
+  };
+  /// visit(rect) for each of the node's subdivision^2 sub-rectangles, in
+  /// a fixed order. The bin-index searches use the precomputed 1/binW,
+  /// 1/binH instead of dividing per sub-rectangle.
   template <typename Visit>
-  void forEachOverlapStrip(const T* x, const T* y, Index node,
-                           Visit visit) const;
+  void forEachSubRect(const T* x, const T* y, Index node, Visit visit) const;
+  /// True when the rectangle takes the 4x4 footprint (see the file
+  /// comment).
+  bool inFootprint(const SubRect& r) const;
+  /// The footprint's per-column x-overlaps and per-row y-overlaps (4
+  /// lanes each, lanes past the span exactly 0).
+  template <typename V4>
+  void footprintOverlaps(const SubRect& r, V4& ox, V4& oy) const;
+  /// Decomposes a rectangle's overlap with the bin grid into contiguous
+  /// y-strips: visit(bx, by0, by1, ox) once per bin column it overlaps,
+  /// where ox is the x overlap with column bx. The per-bin y overlaps
+  /// are then lane math on consecutive bins (common/simd.h).
+  template <typename Visit>
+  void forEachOverlapStrip(const SubRect& r, Visit visit) const;
   /// Adds node `node`'s charge into `map` (scatter's per-node body).
   void scatterNode(const T* x, const T* y, Index node, T* map) const;
   /// Slice count for the parallel scatter: 1 for small designs, else up

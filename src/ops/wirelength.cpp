@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/counters.h"
 #include "common/log.h"
@@ -236,6 +237,60 @@ inline void lseNetBackward(Index begin, Index end, T bp, T bm, T weight,
   }
 }
 
+/// One dimension of the merged WA kernel for a lane group: V::kWidth
+/// nets of degree D, net l's pins at pos[begin[l] + i]. Runs the per-net
+/// sequence of the solo path (min/max, exp arguments, vexp, b/c folded
+/// in pin order, k = c/b, WL term, backward) one net per lane — the same
+/// operations in the same order, so every lane is bit-identical to its
+/// net computed alone. Returns the lanes' spans and weighted WL terms and
+/// writes the pin gradients.
+template <int D, typename V, typename T = typename V::Elem>
+inline void waLaneGroupDim(const T* pos, const Index* begin, V weight,
+                           V invGamma, V gamma, T* pinGrad, V& spanOut,
+                           V& wlOut) {
+  V pin[D];
+  V mn = V::broadcast(std::numeric_limits<T>::infinity());
+  V mx = V::broadcast(-std::numeric_limits<T>::infinity());
+  for (int i = 0; i < D; ++i) {
+    pin[i] = V::gather(pos + i, begin);
+    mn = min(pin[i], mn);  // std::min(mn, pin) per lane
+    mx = max(pin[i], mx);  // std::max(mx, pin) per lane
+  }
+  V arg_plus[D], arg_minus[D], a_plus[D], a_minus[D];
+  for (int i = 0; i < D; ++i) {
+    arg_plus[i] = (pin[i] - mx) * invGamma;
+    arg_minus[i] = (mn - pin[i]) * invGamma;
+    a_plus[i] = vexp(arg_plus[i]);
+    a_minus[i] = vexp(arg_minus[i]);
+  }
+  V bp = a_plus[0];
+  V bm = a_minus[0];
+  V cp = arg_plus[0] * a_plus[0];
+  V cm = arg_minus[0] * a_minus[0];
+  for (int i = 1; i < D; ++i) {
+    bp = bp + a_plus[i];
+    bm = bm + a_minus[i];
+    cp = fma(arg_plus[i], a_plus[i], cp);
+    cm = fma(arg_minus[i], a_minus[i], cm);
+  }
+  const V k_plus = cp / bp;    // arg-space mean, <= 0
+  const V k_minus = cm / bm;   // arg-space mean, <= 0
+  const V span = mx - mn;
+  spanOut = span;
+  wlOut = weight * (span + gamma * (k_plus + k_minus));
+  // Backward; each pin entry is written by exactly one net.
+  const V one = V::broadcast(T(1));
+  const V inv_bp = one / bp;
+  const V inv_bm = one / bm;
+  const V kp = one - k_plus;
+  const V km = one - k_minus;
+  for (int i = 0; i < D; ++i) {
+    const V gp = a_plus[i] * inv_bp * (kp + arg_plus[i]);
+    const V gm = a_minus[i] * inv_bm * (km + arg_minus[i]);
+    (weight * (gp - gm)).scatter(pinGrad + i, begin);
+  }
+}
+
 /// One vexp vector call per lane group per sign per dimension.
 inline std::int64_t vexpCallsPerEvaluate(std::int64_t laneGroups) {
   return 4 * laneGroups;
@@ -330,19 +385,8 @@ WaWirelengthOp<T>::WaWirelengthOp(const Database& db, Index numNodes,
     vexp_groups_native_ += (degree + kW - 1) / kW;
     vexp_groups_scalar_ += degree;
   }
-  // Merged-kernel block geometry: blocks are the aligned kMergedGrain
-  // chunks parallelReduceBlocked hands out, so both the scratch size and
-  // the vexp call counts are fixed at construction. Ignored nets keep
-  // their arg slots (zero-filled at evaluate), so block pin strips stay
-  // contiguous.
-  for (Index b0 = 0; b0 < topo.numNets(); b0 += kMergedGrain) {
-    const Index b1 = std::min(topo.numNets(), b0 + kMergedGrain);
-    const Index block_pins = topo.netEnd(b1 - 1) - topo.netBegin(b0);
-    merged_block_pins_ = std::max(merged_block_pins_, block_pins);
-    vexp_calls_merged_native_ += 2 * ((2 * block_pins + kW - 1) / kW);
-    vexp_calls_merged_scalar_ +=
-        2 * (2 * static_cast<std::int64_t>(block_pins));
-  }
+  lane_width_ = options_.simd && simd::kEnabled ? kW : 1;
+  buildMergedLayout(topo);
   pin_tables_.build(topo);
   pin_x_.resize(topo.numPins());
   pin_y_.resize(topo.numPins());
@@ -391,20 +435,70 @@ void WaWirelengthOp<T>::ensureKernelScratch(Index numPins, Index numNets) {
 }
 
 template <typename T>
-void WaWirelengthOp<T>::ensureMergedScratch(int workers) {
-  static Counter allocs("ops/wirelength/merged_ws_alloc");
-  static Counter reuses("ops/wirelength/merged_ws_reuse");
-  // arg+/arg-/a+/a- strips for the widest block, then per-net min/max.
-  merged_row_ = 4 * static_cast<std::size_t>(merged_block_pins_) +
-                2 * static_cast<std::size_t>(kMergedGrain);
-  const std::size_t need = merged_row_ * static_cast<std::size_t>(workers);
-  if (merged_scratch_.size() == need) {
+void WaWirelengthOp<T>::buildMergedLayout(const NetTopologyView<T>& topo) {
+  const Index width = lane_width_;
+  // Buckets by degree, nets ascending within each.
+  std::vector<std::vector<Index>> buckets(static_cast<std::size_t>(width));
+  for (Index e = 0; e < topo.numNets(); ++e) {
+    const Index degree = topo.netDegree(e);
+    if (!net_ignored_[e] && degree >= 2 && degree < width) {
+      buckets[degree].push_back(e);
+    }
+  }
+  std::vector<char> in_lanes(topo.numNets(), 0);
+  for (Index degree = 2; degree < width; ++degree) {
+    const std::vector<Index>& bucket = buckets[degree];
+    const std::size_t full = bucket.size() / width * width;
+    for (std::size_t k = 0; k < full; k += width) {
+      for (Index l = 0; l < width; ++l) {
+        lane_nets_.push_back(bucket[k + l]);
+        in_lanes[bucket[k + l]] = 1;
+      }
+      lane_degree_.push_back(degree);
+      vexp_calls_merged_ += 4 * degree;
+    }
+  }
+  Index task_pins = 0;
+  for (Index e = 0; e < topo.numNets(); ++e) {
+    const Index degree = topo.netDegree(e);
+    if (degree < 2 || in_lanes[e]) {
+      continue;
+    }
+    if (task_pins == 0) {
+      solo_task_begin_.push_back(static_cast<Index>(solo_nets_.size()));
+    }
+    solo_nets_.push_back(e);
+    task_pins += degree;
+    if (task_pins >= kSoloTaskPins) {
+      task_pins = 0;
+    }
+    if (!net_ignored_[e]) {
+      vexp_calls_merged_ += 2 * ((2 * degree + width - 1) / width);
+    }
+  }
+  solo_task_begin_.push_back(static_cast<Index>(solo_nets_.size()));
+}
+
+template <typename T>
+void WaWirelengthOp<T>::ensureMergedWorkspace(Index numNets, int workers) {
+  static Counter allocs("ops/wirelength/solo_ws_alloc");
+  static Counter reuses("ops/wirelength/solo_ws_reuse");
+  const std::size_t terms = 3 * static_cast<std::size_t>(numNets);
+  if (net_terms_.size() != terms) {
+    // Nets no shape writes (degree < 2; the WL terms of ignored nets)
+    // keep these zeros for the op's lifetime.
+    net_terms_.assign(terms, T(0));
+    mem_net_terms_.set(static_cast<std::int64_t>(terms * sizeof(T)));
+  }
+  solo_row_ = 4 * static_cast<std::size_t>(max_active_degree_);
+  const std::size_t need = solo_row_ * static_cast<std::size_t>(workers);
+  if (solo_scratch_.size() == need) {
     reuses.add();
     return;
   }
   // Re-sized only if the pool size changes between evaluates.
-  merged_scratch_.resize(need);
-  mem_merged_.set(static_cast<std::int64_t>(need * sizeof(T)));
+  solo_scratch_.resize(need);
+  mem_solo_.set(static_cast<std::int64_t>(need * sizeof(T)));
   allocs.add();
 }
 
@@ -426,8 +520,7 @@ double WaWirelengthOp<T>::evaluate(std::span<const T> params,
   using SV = simd::ScalarVec<T, 1>;
   publishSimdWidth(use_simd ? simd::kNativeWidth<T> : 1);
   if (options_.kernel == WirelengthKernel::kMerged) {
-    vexp_calls.add(use_simd ? vexp_calls_merged_native_
-                            : vexp_calls_merged_scalar_);
+    vexp_calls.add(vexp_calls_merged_);
   } else {
     vexp_calls.add(vexpCallsPerEvaluate(use_simd ? vexp_groups_native_
                                                  : vexp_groups_scalar_));
@@ -473,220 +566,252 @@ double WaWirelengthOp<T>::evaluate(std::span<const T> params,
   return total;
 }
 
-// Fused forward+backward, all per-net intermediates in worker-private
-// scratch (Alg. 2), restructured around the block's exp arguments:
+// Fused forward+backward (Alg. 2) in two shapes, one pool job:
 //
-//   pass 1  per net: min/max, then arg+ = (pos-max)/gamma and
-//           arg- = (min-pos)/gamma into the block's contiguous strips,
-//   pass 2  ONE vexpArray over the block's 2*pins arguments,
-//   pass 3  per net: fold b/c sums in argument space, accumulate WL,
-//           write the pin gradients.
+//  * lane groups: width nets of one small degree d, one net per lane.
+//    The d pins of every net are gathered into d vectors, and the
+//    per-net sequence runs once for all lanes: min/max, the arguments
+//    arg+ = (pos-max)/gamma and arg- = (min-pos)/gamma, 2*d vexp calls,
+//    the b/c folds in pin order, k = c/b, the WL term, the backward.
+//  * solo nets: the per-net lane loops over the net's pin range, with
+//    one vexpArray over the net's 2*degree arguments per dimension.
 //
-// Batching the exp is what keeps the vector lanes full: most nets have
-// 2-5 pins (fewer than a lane), so a per-net vexp pads most of its lanes
-// with dead elements, while the block sweep wastes at most one tail lane
-// per 2*blockPins elements. Working in argument space (everything is
-// pre-divided by gamma) also drops the per-lane multiplies the
-// position-space form needed in the c sums and the backward.
+// Both shapes compute each net exactly as a net-at-a-time loop would
+// (vexp values do not depend on their lane), so the per-net results are
+// bit-identical to it. They land in per-net arrays — WL terms of each
+// dimension and the HPWL term — that are folded after the job exactly
+// like a net-ordered reduction: per 64-net block, dim 0 then dim 1, and
+// blocks in order. The task split (solo chunks, then group chunks) is
+// fixed by the netlist, so results never depend on the thread count.
 //
 // WL per dim in argument space: with k± the a±-weighted mean of arg±
 // (both <= 0), WL = (max - min) + gamma*(k+ + k-), and the pin gradient
 // is a±/b± * (1 - k± + arg±), combined with the usual +/- signs.
 //
-// Net blocks are claimed dynamically (the paper's chunk heuristic for
-// heterogeneous net degrees); block boundaries are the aligned
-// kMergedGrain chunks, so strip layout and lane decomposition depend
-// only on the netlist, never the thread count, and per-block WL
-// partials combine in block order — the total matches the serial net
-// order exactly.
-//
-// The exact HPWL rides along: dim 0 keeps each net's x-span, dim 1 adds
-// weight * (x-span + y-span) in net order for every net of degree >= 2
-// (ignored nets too). kMergedGrain equals netsHpwl's 64-net block, and
-// min/max are exact, so the sum is bit-equal to hpwl() (ops/net_topology).
+// The exact HPWL rides along: weight * (x-span + y-span) for every net
+// of degree >= 2 (ignored nets too), folded in the same 64-net blocks
+// as netsHpwl; min/max are exact, so the sum is bit-equal to hpwl()
+// (ops/net_topology).
 template <typename T>
 template <typename V>
 typename WaWirelengthOp<T>::MergedSums WaWirelengthOp<T>::evaluateMerged(
     const NetTopologyView<T>& topo) {
-  constexpr Index kW = V::kWidth;
+  DP_ASSERT(V::kWidth == lane_width_);
   const Index num_nets = topo.numNets();
   const T inv_gamma = static_cast<T>(1.0 / gamma_);
   const T gamma = static_cast<T>(gamma_);
-  ensureMergedScratch(currentThreadPool().threads());
+  ensureMergedWorkspace(num_nets, currentThreadPool().threads());
 
-  return parallelReduceBlocked(
-      "ops/wl/merged", num_nets, kMergedGrain, MergedSums{},
-      [&](Index block_begin, Index block_end, int worker) {
-        T* row = merged_scratch_.data() +
-                 merged_row_ * static_cast<std::size_t>(worker);
-        const Index pins_begin = topo.netBegin(block_begin);
-        const Index pins = topo.netEnd(block_end - 1) - pins_begin;
-        // Strips are packed by this block's pin count; the per-net
-        // min/max slots sit at the row's fixed tail.
-        T* arg_plus = row;
-        T* arg_minus = row + pins;
-        T* a_plus = row + 2 * static_cast<std::size_t>(pins);
-        T* a_minus = row + 3 * static_cast<std::size_t>(pins);
-        T* mn_net = row + 4 * static_cast<std::size_t>(merged_block_pins_);
-        T* mx_net = mn_net + kMergedGrain;
-        T span_x[kMergedGrain];
-        MergedSums partial;
-        for (int dim = 0; dim < 2; ++dim) {
-          const T* pos = dim == 0 ? pin_x_.data() : pin_y_.data();
-          T* pin_grad = dim == 0 ? pin_grad_x_.data() : pin_grad_y_.data();
-
-          // Pass 1: min/max and exp arguments.
-          for (Index e = block_begin; e < block_end; ++e) {
-            const Index begin = topo.netBegin(e);
-            const Index end = topo.netEnd(e);
-            const Index degree = end - begin;
-            const Index lo = begin - pins_begin;
-            const bool active = !net_ignored_[e] && degree >= 2;
-            if (!active) {
-              // Keep the strip well-defined: pass 2 exps every slot, and
-              // stale bytes could be subnormal (a many-cycle stall per
-              // touch on x86) or NaN.
-              for (Index i = 0; i < degree; ++i) {
-                arg_plus[lo + i] = T(0);
-                arg_minus[lo + i] = T(0);
-              }
-              if (degree < 2) {
-                continue;
-              }
-            }
-            T mn, mx;
-            netMinMax<V>(pos, begin, end, mn, mx);
-            if (dim == 0) {
-              span_x[e - block_begin] = mx - mn;
-            } else {
-              partial.hpwl += static_cast<double>(
-                  topo.netWeight[e] * (span_x[e - block_begin] + (mx - mn)));
-            }
-            if (!active) {
-              continue;
-            }
-            if (degree >= kW) {
-              const V vmax = V::broadcast(mx);
-              const V vmin = V::broadcast(mn);
-              const V vig = V::broadcast(inv_gamma);
-              Index p = begin;
-              for (; p + kW <= end; p += kW) {
-                const V v = V::load(pos + p);
-                ((v - vmax) * vig).store(arg_plus + (p - pins_begin));
-                ((vmin - v) * vig).store(arg_minus + (p - pins_begin));
-              }
-              for (; p < end; ++p) {
-                arg_plus[p - pins_begin] = (pos[p] - mx) * inv_gamma;
-                arg_minus[p - pins_begin] = (mn - pos[p]) * inv_gamma;
-              }
-            } else {
-              for (Index i = 0; i < degree; ++i) {
-                arg_plus[lo + i] = (pos[begin + i] - mx) * inv_gamma;
-                arg_minus[lo + i] = (mn - pos[begin + i]) * inv_gamma;
-              }
-            }
-            mn_net[e - block_begin] = mn;
-            mx_net[e - block_begin] = mx;
+  const Index num_groups = static_cast<Index>(lane_degree_.size());
+  const Index solo_tasks = static_cast<Index>(solo_task_begin_.size()) - 1;
+  const Index group_tasks =
+      (num_groups + kLaneGroupsPerTask - 1) / kLaneGroupsPerTask;
+  // Solo chunks first: the widest nets are the longest tasks, and tasks
+  // are claimed in index order.
+  currentThreadPool().run(
+      "ops/wl/merged", solo_tasks + group_tasks, [&](Index task, int worker) {
+        if (task < solo_tasks) {
+          T* row = solo_scratch_.data() +
+                   solo_row_ * static_cast<std::size_t>(worker);
+          for (Index k = solo_task_begin_[task];
+               k < solo_task_begin_[task + 1]; ++k) {
+            mergedSoloNet<V>(topo, solo_nets_[k], row, inv_gamma, gamma);
           }
-
-          // Pass 2: the block's whole exp workload in one lane sweep
-          // (arg+ and arg- strips are adjacent, so this is one range).
-          simd::vexpArray<V>(row, a_plus, 2 * pins);
-
-          // Pass 3: fold b/c in argument space, accumulate WL, backward.
-          for (Index e = block_begin; e < block_end; ++e) {
-            const Index begin = topo.netBegin(e);
-            const Index end = topo.netEnd(e);
-            const Index degree = end - begin;
-            if (net_ignored_[e] || degree < 2) {
-              continue;
-            }
-            const Index lo = begin - pins_begin;
-            const T weight = topo.netWeight[e];
-            T bp, bm, cp, cm;
-            if (degree >= kW) {
-              V vbp = V::load(a_plus + lo);
-              V vbm = V::load(a_minus + lo);
-              V vcp = V::load(arg_plus + lo) * vbp;
-              V vcm = V::load(arg_minus + lo) * vbm;
-              Index i = kW;
-              for (; i + kW <= degree; i += kW) {
-                const V ap = V::load(a_plus + lo + i);
-                const V am = V::load(a_minus + lo + i);
-                vbp = vbp + ap;
-                vbm = vbm + am;
-                vcp = fma(V::load(arg_plus + lo + i), ap, vcp);
-                vcm = fma(V::load(arg_minus + lo + i), am, vcm);
-              }
-              bp = hsum(vbp);
-              bm = hsum(vbm);
-              cp = hsum(vcp);
-              cm = hsum(vcm);
-              for (; i < degree; ++i) {
-                bp += a_plus[lo + i];
-                bm += a_minus[lo + i];
-                cp += arg_plus[lo + i] * a_plus[lo + i];
-                cm += arg_minus[lo + i] * a_minus[lo + i];
-              }
-            } else {
-              bp = a_plus[lo];
-              bm = a_minus[lo];
-              cp = arg_plus[lo] * a_plus[lo];
-              cm = arg_minus[lo] * a_minus[lo];
-              for (Index i = 1; i < degree; ++i) {
-                bp += a_plus[lo + i];
-                bm += a_minus[lo + i];
-                cp += arg_plus[lo + i] * a_plus[lo + i];
-                cm += arg_minus[lo + i] * a_minus[lo + i];
-              }
-            }
-            const T k_plus = cp / bp;    // arg-space mean, <= 0
-            const T k_minus = cm / bm;   // arg-space mean, <= 0
-            const T span = mx_net[e - block_begin] - mn_net[e - block_begin];
-            partial.wl += static_cast<double>(
-                weight * (span + gamma * (k_plus + k_minus)));
-
-            // Backward fused into the same kernel; each pin entry is
-            // written by exactly one net, so no synchronization.
-            const T inv_bp = T(1) / bp;
-            const T inv_bm = T(1) / bm;
-            if (degree >= kW) {
-              const V vibp = V::broadcast(inv_bp);
-              const V vibm = V::broadcast(inv_bm);
-              const V vkp = V::broadcast(T(1) - k_plus);
-              const V vkm = V::broadcast(T(1) - k_minus);
-              const V vw = V::broadcast(weight);
-              Index i = 0;
-              for (; i + kW <= degree; i += kW) {
-                const V gp = V::load(a_plus + lo + i) * vibp *
-                             (vkp + V::load(arg_plus + lo + i));
-                const V gm = V::load(a_minus + lo + i) * vibm *
-                             (vkm + V::load(arg_minus + lo + i));
-                (vw * (gp - gm)).store(pin_grad + begin + i);
-              }
-              for (; i < degree; ++i) {
-                const T gp =
-                    a_plus[lo + i] * inv_bp * (T(1) - k_plus + arg_plus[lo + i]);
-                const T gm = a_minus[lo + i] * inv_bm *
-                             (T(1) - k_minus + arg_minus[lo + i]);
-                pin_grad[begin + i] = weight * (gp - gm);
-              }
-            } else {
-              for (Index i = 0; i < degree; ++i) {
-                const T gp =
-                    a_plus[lo + i] * inv_bp * (T(1) - k_plus + arg_plus[lo + i]);
-                const T gm = a_minus[lo + i] * inv_bm *
-                             (T(1) - k_minus + arg_minus[lo + i]);
-                pin_grad[begin + i] = weight * (gp - gm);
-              }
-            }
-          }
+          return;
         }
-        return partial;
-      },
-      [](MergedSums acc, MergedSums partial) {
-        return MergedSums{acc.wl + partial.wl, acc.hpwl + partial.hpwl};
+        const Index g0 = (task - solo_tasks) * kLaneGroupsPerTask;
+        const Index g1 = std::min(num_groups, g0 + kLaneGroupsPerTask);
+        for (Index g = g0; g < g1; ++g) {
+          mergedLaneGroup<V>(topo, g, inv_gamma, gamma);
+        }
       });
+
+  // Nets without a term hold exact zeros, and a partial sum is never -0,
+  // so adding them changes no bit.
+  constexpr Index kSumBlock = 64;
+  const T* wl_x = net_terms_.data();
+  const T* wl_y = wl_x + num_nets;
+  const T* hpwl = wl_y + num_nets;
+  MergedSums sums;
+  for (Index b0 = 0; b0 < num_nets; b0 += kSumBlock) {
+    const Index b1 = std::min(num_nets, b0 + kSumBlock);
+    double wl = 0.0;
+    double hp = 0.0;
+    for (Index e = b0; e < b1; ++e) {
+      wl += static_cast<double>(wl_x[e]);
+    }
+    for (Index e = b0; e < b1; ++e) {
+      wl += static_cast<double>(wl_y[e]);
+      hp += static_cast<double>(hpwl[e]);
+    }
+    sums.wl += wl;
+    sums.hpwl += hp;
+  }
+  return sums;
+}
+
+template <typename T>
+template <typename V>
+void WaWirelengthOp<T>::mergedLaneGroup(const NetTopologyView<T>& topo,
+                                        Index group, T invGamma, T gamma) {
+  constexpr int kW = V::kWidth;
+  if constexpr (kW > 2) {
+    const Index num_nets = topo.numNets();
+    const Index degree = lane_degree_[group];
+    const Index* nets = lane_nets_.data() + group * kW;
+    Index begin[kW];
+    for (int l = 0; l < kW; ++l) {
+      begin[l] = topo.netBegin(nets[l]);
+    }
+    const V weight = V::gather(topo.netWeight.data(), nets);
+    const V vig = V::broadcast(invGamma);
+    const V vgamma = V::broadcast(gamma);
+    // Dispatch to the degree's fully unrolled body (2 <= degree < kW).
+    [&]<int... D>(std::integer_sequence<int, D...>) {
+      (((D + 2 == degree) ? [&] {
+         V span_x, span_y, wl;
+         waLaneGroupDim<D + 2>(pin_x_.data(), begin, weight, vig, vgamma,
+                               pin_grad_x_.data(), span_x, wl);
+         wl.scatter(net_terms_.data(), nets);
+         waLaneGroupDim<D + 2>(pin_y_.data(), begin, weight, vig, vgamma,
+                               pin_grad_y_.data(), span_y, wl);
+         wl.scatter(net_terms_.data() + num_nets, nets);
+         (weight * (span_x + span_y))
+             .scatter(net_terms_.data() + 2 * num_nets, nets);
+       }()
+                         : void()),
+       ...);
+    }(std::make_integer_sequence<int, kW - 2>{});
+  }
+}
+
+template <typename T>
+template <typename V>
+void WaWirelengthOp<T>::mergedSoloNet(const NetTopologyView<T>& topo,
+                                      Index e, T* row, T invGamma, T gamma) {
+  constexpr Index kW = V::kWidth;
+  const Index num_nets = topo.numNets();
+  const Index begin = topo.netBegin(e);
+  const Index end = topo.netEnd(e);
+  const Index degree = end - begin;
+  const bool active = !net_ignored_[e];
+  const T weight = topo.netWeight[e];
+  T* arg_plus = row;
+  T* arg_minus = row + degree;
+  T* a_plus = row + 2 * static_cast<std::size_t>(degree);
+  T* a_minus = row + 3 * static_cast<std::size_t>(degree);
+  T span_x = T(0);
+  for (int dim = 0; dim < 2; ++dim) {
+    const T* pos = dim == 0 ? pin_x_.data() : pin_y_.data();
+    T* pin_grad = dim == 0 ? pin_grad_x_.data() : pin_grad_y_.data();
+    T mn, mx;
+    netMinMax<V>(pos, begin, end, mn, mx);
+    if (dim == 0) {
+      span_x = mx - mn;
+    } else {
+      net_terms_[2 * static_cast<std::size_t>(num_nets) + e] =
+          weight * (span_x + (mx - mn));
+    }
+    if (!active) {
+      continue;
+    }
+    if (degree >= kW) {
+      const V vmax = V::broadcast(mx);
+      const V vmin = V::broadcast(mn);
+      const V vig = V::broadcast(invGamma);
+      Index p = begin;
+      for (; p + kW <= end; p += kW) {
+        const V v = V::load(pos + p);
+        ((v - vmax) * vig).store(arg_plus + (p - begin));
+        ((vmin - v) * vig).store(arg_minus + (p - begin));
+      }
+      for (; p < end; ++p) {
+        arg_plus[p - begin] = (pos[p] - mx) * invGamma;
+        arg_minus[p - begin] = (mn - pos[p]) * invGamma;
+      }
+    } else {
+      for (Index i = 0; i < degree; ++i) {
+        arg_plus[i] = (pos[begin + i] - mx) * invGamma;
+        arg_minus[i] = (mn - pos[begin + i]) * invGamma;
+      }
+    }
+    // arg+ and arg- are adjacent: one sweep over both.
+    simd::vexpArray<V>(row, a_plus, 2 * degree);
+
+    // Fold b/c in argument space, accumulate WL, backward.
+    T bp, bm, cp, cm;
+    if (degree >= kW) {
+      V vbp = V::load(a_plus);
+      V vbm = V::load(a_minus);
+      V vcp = V::load(arg_plus) * vbp;
+      V vcm = V::load(arg_minus) * vbm;
+      Index i = kW;
+      for (; i + kW <= degree; i += kW) {
+        const V ap = V::load(a_plus + i);
+        const V am = V::load(a_minus + i);
+        vbp = vbp + ap;
+        vbm = vbm + am;
+        vcp = fma(V::load(arg_plus + i), ap, vcp);
+        vcm = fma(V::load(arg_minus + i), am, vcm);
+      }
+      bp = hsum(vbp);
+      bm = hsum(vbm);
+      cp = hsum(vcp);
+      cm = hsum(vcm);
+      for (; i < degree; ++i) {
+        bp += a_plus[i];
+        bm += a_minus[i];
+        cp += arg_plus[i] * a_plus[i];
+        cm += arg_minus[i] * a_minus[i];
+      }
+    } else {
+      bp = a_plus[0];
+      bm = a_minus[0];
+      cp = arg_plus[0] * a_plus[0];
+      cm = arg_minus[0] * a_minus[0];
+      for (Index i = 1; i < degree; ++i) {
+        bp += a_plus[i];
+        bm += a_minus[i];
+        cp += arg_plus[i] * a_plus[i];
+        cm += arg_minus[i] * a_minus[i];
+      }
+    }
+    const T k_plus = cp / bp;    // arg-space mean, <= 0
+    const T k_minus = cm / bm;   // arg-space mean, <= 0
+    net_terms_[dim * static_cast<std::size_t>(num_nets) + e] =
+        weight * ((mx - mn) + gamma * (k_plus + k_minus));
+
+    // Backward fused into the same kernel; each pin entry is written by
+    // exactly one net, so no synchronization.
+    const T inv_bp = T(1) / bp;
+    const T inv_bm = T(1) / bm;
+    if (degree >= kW) {
+      const V vibp = V::broadcast(inv_bp);
+      const V vibm = V::broadcast(inv_bm);
+      const V vkp = V::broadcast(T(1) - k_plus);
+      const V vkm = V::broadcast(T(1) - k_minus);
+      const V vw = V::broadcast(weight);
+      Index i = 0;
+      for (; i + kW <= degree; i += kW) {
+        const V gp =
+            V::load(a_plus + i) * vibp * (vkp + V::load(arg_plus + i));
+        const V gm =
+            V::load(a_minus + i) * vibm * (vkm + V::load(arg_minus + i));
+        (vw * (gp - gm)).store(pin_grad + begin + i);
+      }
+      for (; i < degree; ++i) {
+        const T gp = a_plus[i] * inv_bp * (T(1) - k_plus + arg_plus[i]);
+        const T gm = a_minus[i] * inv_bm * (T(1) - k_minus + arg_minus[i]);
+        pin_grad[begin + i] = weight * (gp - gm);
+      }
+    } else {
+      for (Index i = 0; i < degree; ++i) {
+        const T gp = a_plus[i] * inv_bp * (T(1) - k_plus + arg_plus[i]);
+        const T gm = a_minus[i] * inv_bm * (T(1) - k_minus + arg_minus[i]);
+        pin_grad[begin + i] = weight * (gp - gm);
+      }
+    }
+  }
 }
 
 // Net-level forward and backward as separate passes with all intermediates

@@ -11,10 +11,15 @@
 //    memory traffic but reduces per net in fixed pin order, so results
 //    are deterministic for any thread count,
 //  * kMerged   — fused forward+backward with all intermediates kept in
-//    kernel-local scratch (Algorithm 2); the default. The CPU realization
-//    batches nets in blocks of kMergedGrain and runs every exp argument
-//    of a block through one vexpArray sweep, so the exp work runs in full
-//    vector lanes even though ~70% of nets have fewer pins than a lane.
+//    kernel-local registers/scratch (Algorithm 2); the default. The CPU
+//    realization runs nets of equal small degree (2 <= degree < lane
+//    width) one net per vector lane, kW nets at a time, so every step of
+//    the per-net sequence — min/max, exp, the b/c folds, the backward —
+//    is one full-lane op even though most nets have fewer pins than a
+//    lane. Wider nets and the leftovers of each degree bucket run the
+//    per-net lane loops ("solo" nets). Both shapes do the same
+//    operations in the same order per net, so results are bit-identical
+//    to a net-at-a-time loop.
 // The log-sum-exp (LSE) wirelength is also implemented, as in the paper.
 //
 // Every kernel's inner loops are written against the common/simd.h
@@ -149,12 +154,21 @@ class WaWirelengthOp final : public WirelengthOp<T> {
   /// reuses instead of churning reallocations. Counted like
   /// ensureScratch (ops/wirelength/kernel_ws_alloc|reuse).
   void ensureKernelScratch(Index numPins, Index numNets);
-  /// Per-worker block rows for the merged kernel: arg+/arg-/a+/a- strips
-  /// for the largest net block plus per-net min/max, sized threads x
-  /// (4*maxBlockPins + 2*kMergedGrain). Owned by the op (not
-  /// thread_local) so the bytes show up under the
-  /// ops/wirelength/merged_scratch memory key and die with the op.
-  void ensureMergedScratch(int workers);
+  /// Sizes the merged kernel's per-net term arrays (numNets entries each)
+  /// and its per-worker solo rows (arg+/arg-/a+/a- strips of the widest
+  /// active net). Owned by the op (not thread_local) so the bytes show up
+  /// under the ops/wirelength/net_terms and ops/wirelength/solo_scratch
+  /// memory keys and die with the op. Counted like ensureScratch
+  /// (ops/wirelength/solo_ws_alloc|reuse).
+  void ensureMergedWorkspace(Index numNets, int workers);
+  /// Buckets the nets for the merged kernel (see lane_nets_).
+  void buildMergedLayout(const NetTopologyView<T>& topo);
+  template <typename V>
+  void mergedLaneGroup(const NetTopologyView<T>& topo, Index group,
+                       T invGamma, T gamma);
+  template <typename V>
+  void mergedSoloNet(const NetTopologyView<T>& topo, Index net, T* row,
+                     T invGamma, T gamma);
 
   Index num_nodes_ = 0;
   Options options_;
@@ -165,21 +179,33 @@ class WaWirelengthOp final : public WirelengthOp<T> {
   PinPositionTables<T> pin_tables_;
   Index max_active_degree_ = 0;    ///< Max degree over non-ignored nets.
   /// Per-evaluate vexp invocation counts (simd/vexp_calls), precomputed
-  /// for both widths at construction — the active net set is fixed. The
-  /// net-by-net and atomic kernels exp per net: one vector call per lane
-  /// group per sign per dimension, 4 * sum over active nets of
-  /// ceil(degree / width). The merged kernel exps per net block instead
-  /// (one vexpArray over a block's 2*pins arguments per dimension), so
-  /// its counts are 2 * sum over blocks of ceil(2*blockPins / width).
+  /// at construction — the active net set is fixed. The net-by-net and
+  /// atomic kernels exp per net: one vector call per lane group per sign
+  /// per dimension, 4 * sum over active nets of ceil(degree / width).
+  /// The merged kernel makes 2*degree calls per dimension for a lane
+  /// group of degree-`degree` nets and one vexpArray over 2*degree
+  /// arguments per dimension for a solo net.
   std::int64_t vexp_groups_native_ = 0;
   std::int64_t vexp_groups_scalar_ = 0;
-  std::int64_t vexp_calls_merged_native_ = 0;
-  std::int64_t vexp_calls_merged_scalar_ = 0;
-  /// Merged-kernel batching geometry: nets are blocked by kMergedGrain
-  /// (also the parallel grain, so block boundaries depend only on the
-  /// net count) and merged_block_pins_ is the widest block's pin strip.
-  static constexpr Index kMergedGrain = 64;
-  Index merged_block_pins_ = 0;
+  std::int64_t vexp_calls_merged_ = 0;
+
+  /// Merged-kernel layout, fixed at construction for the lane width the
+  /// op runs with (lane_width_: the native width, or 1 with SIMD off,
+  /// where every net is solo). Active nets with 2 <= degree < width are
+  /// bucketed by degree, each bucket cut into lane groups of width nets
+  /// in ascending net order: lane_nets_ holds width net ids per group,
+  /// lane_degree_ each group's degree. Every other net with degree >= 2
+  /// (wider nets, bucket remainders, ignored nets — which still need
+  /// their spans for HPWL) is in solo_nets_, ascending. The parallel
+  /// task split — solo_task_begin_ chunks of the solo list, then
+  /// kLaneGroupsPerTask groups per task — depends only on the netlist.
+  static constexpr Index kLaneGroupsPerTask = 8;
+  static constexpr Index kSoloTaskPins = 512;
+  Index lane_width_ = 1;
+  std::vector<Index> lane_nets_;
+  std::vector<Index> lane_degree_;
+  std::vector<Index> solo_nets_;
+  std::vector<Index> solo_task_begin_;  ///< Task starts + end sentinel.
 
   // Workspaces.
   std::vector<T> pin_x_;
@@ -197,12 +223,16 @@ class WaWirelengthOp final : public WirelengthOp<T> {
   std::vector<T> b_plus_, b_minus_;        // per net
   std::vector<T> c_plus_, c_minus_;        // per net
   std::vector<T> x_max_, x_min_;           // per net
-  // Merged-kernel per-worker a± rows (ensureMergedScratch).
-  std::vector<T> merged_scratch_;
-  std::size_t merged_row_ = 0;     ///< Elements per worker row.
+  // Merged kernel (ensureMergedWorkspace): per-net WL terms of dim 0 and
+  // dim 1 and HPWL terms, [wl x | wl y | hpwl], folded after the pass in
+  // the fixed 64-net block order; and the per-worker solo rows.
+  std::vector<T> net_terms_;
+  std::vector<T> solo_scratch_;
+  std::size_t solo_row_ = 0;       ///< Elements per worker row.
   TrackedBytes mem_scratch_{"ops/wirelength/scratch"};
   TrackedBytes mem_kernel_ws_{"ops/wirelength/kernel_ws"};
-  TrackedBytes mem_merged_{"ops/wirelength/merged_scratch"};
+  TrackedBytes mem_net_terms_{"ops/wirelength/net_terms"};
+  TrackedBytes mem_solo_{"ops/wirelength/solo_scratch"};
 };
 
 /// Log-sum-exp wirelength (Naylor et al.): WL_e = gamma*(log sum

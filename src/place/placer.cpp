@@ -1,7 +1,9 @@
 #include "place/placer.h"
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/flow_context.h"
@@ -103,9 +105,27 @@ class FlowTelemetry {
   std::string trace_file_;
 };
 
+/// A warm start hands its positions straight to LG, which cannot place a
+/// cell at NaN or infinity (every comparison with NaN is false, so the
+/// cell would slip through LG and the legality check alike).
+void requireFinitePositions(const Database& db) {
+  for (Index i = 0; i < db.numMovable(); ++i) {
+    if (!std::isfinite(db.cellX(i)) || !std::isfinite(db.cellY(i))) {
+      throw std::runtime_error(
+          "warm start: movable cell '" + db.cellName(i) + "' (index " +
+          std::to_string(i) + ") has a non-finite position (" +
+          std::to_string(db.cellX(i)) + ", " + std::to_string(db.cellY(i)) +
+          ")");
+    }
+  }
+}
+
 template <typename T>
 FlowResult runFlow(Database& db, const PlacerOptions& options,
                    FlowTelemetry& telemetry) {
+  if (!options.runGlobalPlacement) {
+    requireFinitePositions(db);
+  }
   FlowResult result;
   FlowPipeline pipeline = buildFlowPipeline<T>(options);
   StageContext context{db, options, result, telemetry.sink()};
@@ -114,6 +134,11 @@ FlowResult runFlow(Database& db, const PlacerOptions& options,
           "gp %.1fs lg %.1fs dp %.1fs",
           result.hpwlGp, result.hpwlLegal, result.hpwl, result.legal ? 1 : 0,
           result.gpSeconds, result.lgSeconds, result.dpSeconds);
+  if (!std::isfinite(result.hpwl)) {
+    throw std::runtime_error("flow: final HPWL is not finite (" +
+                             std::to_string(result.hpwl) +
+                             "); the placement holds a non-finite position");
+  }
   return result;
 }
 

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "gen/netlist_generator.h"
 #include "ops/density_map.h"
 #include "ops/density_op.h"
@@ -403,6 +405,234 @@ TEST(ComputeFillersTest, FillsWhitespaceToTarget) {
   // A lower target can require no fillers at all.
   computeFillers<double>(*db, 0.3, w, h);
   EXPECT_TRUE(w.empty());
+}
+
+// ---------------------------------------------------------------------------
+// The 4x4 footprint against the strip arithmetic, bit for bit.
+// ---------------------------------------------------------------------------
+
+/// The density kernels' per-bin arithmetic written out scalar, one
+/// (sub-)rectangle and bin column at a time: bin edges index * size +
+/// origin, overlaps min(hi, edge + size) - max(lo, edge), a bin only
+/// where its overlap is positive. A gather strip of at least
+/// kNativeWidth bins folds lane partials first (ascending lanes) and
+/// then the tail, as the lane strip kernel does.
+template <typename T>
+class StripReference {
+ public:
+  StripReference(const DensityMapBuilder<T>& builder, int subdivision)
+      : b_(builder), g_(builder.grid()), sub_(subdivision) {}
+
+  /// Nodes [begin, end) in index order, added onto map.
+  void scatter(const T* x, const T* y, Index begin, Index end,
+               std::vector<T>& map) const {
+    for (Index node = begin; node < end; ++node) {
+      const T q = b_.chargeScale(node) * (T(1) / g_.binArea());
+      forEachColumn(x, y, node, [&](int bx, int by0, int by1, T ox, T yl,
+                                    T yh) {
+        const T qox = q * ox;
+        for (int by = by0; by < by1; ++by) {
+          const T oy = yOverlap(by, yl, yh);
+          if (oy > 0) {
+            map[bx * g_.my + by] += qox * oy;
+          }
+        }
+      });
+    }
+  }
+
+  void gather(const T* x, const T* y, const std::vector<T>& fieldX,
+              const std::vector<T>& fieldY, std::vector<T>& gx,
+              std::vector<T>& gy) const {
+    constexpr int kW = simd::kNativeWidth<T>;
+    for (Index node = 0; node < b_.numNodes(); ++node) {
+      T fx = 0;
+      T fy = 0;
+      forEachColumn(x, y, node, [&](int bx, int by0, int by1, T ox, T yl,
+                                    T yh) {
+        const T* col_x = fieldX.data() + bx * g_.my;
+        const T* col_y = fieldY.data() + bx * g_.my;
+        T sx = 0;
+        T sy = 0;
+        int by = by0;
+        if (by1 - by0 >= kW) {
+          T ax[kW] = {}, ay[kW] = {};
+          for (; by + kW <= by1; by += kW) {
+            for (int l = 0; l < kW; ++l) {
+              const T area =
+                  ox * std::max(T(0), yOverlap(by + l, yl, yh));
+              ax[l] = area * col_x[by + l] + ax[l];
+              ay[l] = area * col_y[by + l] + ay[l];
+            }
+          }
+          sx = ax[0];
+          sy = ay[0];
+          for (int l = 1; l < kW; ++l) {
+            sx += ax[l];
+            sy += ay[l];
+          }
+        }
+        for (; by < by1; ++by) {
+          const T oy = yOverlap(by, yl, yh);
+          if (oy > 0) {
+            sx += ox * oy * col_x[by];
+            sy += ox * oy * col_y[by];
+          }
+        }
+        fx += sx;
+        fy += sy;
+      });
+      const T q = b_.chargeScale(node) * (T(1) / g_.binArea());
+      gx[node] = -q * fx * (T(1) / g_.binW);
+      gy[node] = -q * fy * (T(1) / g_.binH);
+    }
+  }
+
+ private:
+  T yOverlap(int by, T yl, T yh) const {
+    const T bin_yl = static_cast<T>(by) * g_.binH + g_.yl;
+    return std::min(yh, bin_yl + g_.binH) - std::max(yl, bin_yl);
+  }
+
+  template <typename Visit>
+  void forEachColumn(const T* x, const T* y, Index node, Visit visit) const {
+    const T w = b_.effectiveWidth(node);
+    const T h = b_.effectiveHeight(node);
+    const T sub_w = w / sub_;
+    const T sub_h = h / sub_;
+    const T node_xl = x[node] - w / 2;
+    const T node_yl = y[node] - h / 2;
+    const T inv_w = T(1) / g_.binW;
+    const T inv_h = T(1) / g_.binH;
+    for (int sx = 0; sx < sub_; ++sx) {
+      for (int sy = 0; sy < sub_; ++sy) {
+        const T xl = node_xl + sx * sub_w;
+        const T xh = xl + sub_w;
+        const T yl = node_yl + sy * sub_h;
+        const T yh = yl + sub_h;
+        const int bx0 = std::max(
+            static_cast<int>(std::floor((xl - g_.xl) * inv_w)), 0);
+        const int bx1 = std::min(
+            static_cast<int>(std::ceil((xh - g_.xl) * inv_w)), g_.mx);
+        const int by0 = std::max(
+            static_cast<int>(std::floor((yl - g_.yl) * inv_h)), 0);
+        const int by1 = std::min(
+            static_cast<int>(std::ceil((yh - g_.yl) * inv_h)), g_.my);
+        for (int bx = bx0; bx < bx1; ++bx) {
+          const T bin_xl = g_.xl + bx * g_.binW;
+          const T ox = std::min(xh, bin_xl + g_.binW) - std::max(xl, bin_xl);
+          if (ox > 0) {
+            visit(bx, by0, by1, ox, yl, yh);
+          }
+        }
+      }
+    }
+  }
+
+  const DensityMapBuilder<T>& b_;
+  DensityGrid<T> g_;
+  int sub_;
+};
+
+/// Nodes on an off-origin grid with non-round bin sizes: interior nodes
+/// of 2-4 bins, nodes within 4 bins of each grid edge (some hanging
+/// over it), and nodes wider or taller than 4 bins.
+template <typename T>
+void footprintScene(DensityGrid<T>& grid, std::vector<T>& w,
+                    std::vector<T>& h, std::vector<T>& x,
+                    std::vector<T>& y) {
+  grid.mx = 24;
+  grid.my = 20;
+  grid.xl = static_cast<T>(3.1);
+  grid.yl = static_cast<T>(-2.2);
+  grid.binW = static_cast<T>(1.37);
+  grid.binH = static_cast<T>(0.83);
+  const double width = grid.mx * static_cast<double>(grid.binW);
+  const double height = grid.my * static_cast<double>(grid.binH);
+  Rng rng(23);
+  const auto add = [&](double cx, double cy, double wBins, double hBins) {
+    x.push_back(static_cast<T>(grid.xl + cx));
+    y.push_back(static_cast<T>(grid.yl + cy));
+    w.push_back(static_cast<T>(wBins * grid.binW));
+    h.push_back(static_cast<T>(hBins * grid.binH));
+  };
+  for (int i = 0; i < 120; ++i) {  // interior, 2x2 to 4x4 spans
+    add(rng.uniform(0.2, 0.8) * width, rng.uniform(0.2, 0.8) * height,
+        rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0));
+  }
+  for (int i = 0; i < 160; ++i) {  // within 4 bins of an edge
+    const double dx = rng.uniform(-1.0, 4.0) * grid.binW;
+    const double dy = rng.uniform(-1.0, 4.0) * grid.binH;
+    const double cx = i % 4 == 0   ? dx
+                      : i % 4 == 1 ? width - dx
+                                   : rng.uniform(0, 1) * width;
+    const double cy = i % 4 == 2   ? dy
+                      : i % 4 == 3 ? height - dy
+                                   : rng.uniform(0, 1) * height;
+    add(cx, cy, rng.uniform(0.1, 3.5), rng.uniform(0.1, 3.5));
+  }
+  for (int i = 0; i < 40; ++i) {  // wider or taller than 4 bins
+    add(rng.uniform(0, 1) * width, rng.uniform(0, 1) * height,
+        i % 2 == 0 ? rng.uniform(4.2, 11.0) : rng.uniform(0.5, 3.0),
+        i % 2 == 1 ? rng.uniform(4.2, 11.0) : rng.uniform(0.5, 3.0));
+  }
+}
+
+template <typename T>
+void expectFootprintMatchesStrips(int subdivision) {
+  SCOPED_TRACE(::testing::Message() << "T=" << sizeof(T)
+                                    << " subdivision=" << subdivision);
+  DensityGrid<T> grid;
+  std::vector<T> w, h, x, y;
+  footprintScene(grid, w, h, x, y);
+  const Index n = static_cast<Index>(x.size());
+  const Index split = n / 2;
+  typename DensityMapBuilder<T>::Options opts;
+  opts.kernel = DensityKernel::kNaive;  // index order, one slice (< 2048)
+  opts.subdivision = subdivision;
+  DensityMapBuilder<T> builder(grid, w, h, opts);
+  const StripReference<T> ref(builder, subdivision);
+
+  const std::size_t bins = static_cast<std::size_t>(grid.mx) * grid.my;
+  Rng rng(3);
+  std::vector<T> base(bins);
+  for (T& b : base) {
+    b = static_cast<T>(rng.uniform(0, 0.5));
+  }
+  std::vector<T> lower(bins), map(bins);
+  builder.scatterSplit(x.data(), y.data(), split, base, lower, map);
+  std::vector<T> ref_lower(bins, T(0));
+  ref.scatter(x.data(), y.data(), 0, split, ref_lower);
+  std::vector<T> ref_map(bins);
+  for (std::size_t b = 0; b < bins; ++b) {
+    ref_map[b] = base[b] + ref_lower[b];
+  }
+  ref.scatter(x.data(), y.data(), split, n, ref_map);
+  for (std::size_t b = 0; b < bins; ++b) {
+    ASSERT_EQ(lower[b], ref_lower[b]) << "bin " << b;
+    ASSERT_EQ(map[b], ref_map[b]) << "bin " << b;
+  }
+
+  std::vector<T> field_x(bins), field_y(bins);
+  for (std::size_t b = 0; b < bins; ++b) {
+    field_x[b] = static_cast<T>(rng.uniform(-3, 3));
+    field_y[b] = static_cast<T>(rng.uniform(-3, 3));
+  }
+  std::vector<T> gx(n), gy(n), ref_gx(n), ref_gy(n);
+  builder.gatherForce(x.data(), y.data(), field_x, field_y, gx.data(),
+                      gy.data());
+  ref.gather(x.data(), y.data(), field_x, field_y, ref_gx, ref_gy);
+  for (Index i = 0; i < n; ++i) {
+    ASSERT_EQ(gx[i], ref_gx[i]) << "node " << i;
+    ASSERT_EQ(gy[i], ref_gy[i]) << "node " << i;
+  }
+}
+
+TEST(DensityFootprintTest, MapsAndGradientsMatchStripArithmetic) {
+  for (const int subdivision : {1, 2}) {
+    expectFootprintMatchesStrips<float>(subdivision);
+    expectFootprintMatchesStrips<double>(subdivision);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -352,6 +353,55 @@ TEST(EngineTest, BackendHonoursJobDeadline) {
   EXPECT_EQ(batch.jobs[2].status, JobStatus::kTimedOut);
   EXPECT_EQ(batch.jobs[2].attempts, 1);
   EXPECT_EQ(batch.timedOut, 1);
+  ASSERT_EQ(cleanBatch.jobs.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const JobReport& c = cleanBatch.jobs[i];
+    const JobReport& j = batch.jobs[i];
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(c.status, JobStatus::kSucceeded);
+    EXPECT_EQ(j.status, JobStatus::kSucceeded);
+    EXPECT_EQ(j.result.hpwlLegal, c.result.hpwlLegal);
+    EXPECT_EQ(j.result.hpwl, c.result.hpwl);
+    EXPECT_EQ(j.result.legal, c.result.legal);
+    EXPECT_EQ(deterministicCounters(j.report.counters),
+              deterministicCounters(c.report.counters));
+  }
+}
+
+// A warm-start job with a NaN cell position fails with a message naming
+// the cell, instead of legalizing around it and reporting success; its
+// batch siblings are bit-identical to the same jobs in a clean batch.
+TEST(EngineTest, NonFiniteWarmStartPositionFailsTheJob) {
+  EngineOptions engineOptions;
+  engineOptions.maxConcurrentJobs = 3;
+  PlacementEngine engine(engineOptions);
+
+  std::vector<std::unique_ptr<Database>> cleanDbs;
+  std::vector<PlacementJob> clean;
+  clean.push_back(warmStartJob(cleanDbs, 7, 300));
+  clean.push_back(warmStartJob(cleanDbs, 8, 300));
+  const BatchReport cleanBatch = engine.run(std::move(clean));
+
+  std::vector<std::unique_ptr<Database>> dbs;
+  std::vector<PlacementJob> jobs;
+  jobs.push_back(warmStartJob(dbs, 7, 300));
+  jobs.push_back(warmStartJob(dbs, 8, 300));
+  PlacementJob poisoned = warmStartJob(dbs, 12, 300);
+  poisoned.name = "poisoned";
+  Database& db = *dbs.back();
+  db.setCellPosition(0, std::numeric_limits<Coord>::quiet_NaN(),
+                     db.cellY(0));
+  jobs.push_back(std::move(poisoned));
+  const BatchReport batch = engine.run(std::move(jobs));
+
+  ASSERT_EQ(batch.jobs.size(), 3u);
+  const JobReport& bad = batch.jobs[2];
+  EXPECT_EQ(bad.status, JobStatus::kFailed);
+  EXPECT_NE(bad.error.find("non-finite position"), std::string::npos)
+      << bad.error;
+  EXPECT_NE(bad.error.find("'" + db.cellName(0) + "'"), std::string::npos)
+      << bad.error;
+  EXPECT_EQ(batch.failed, 1);
   ASSERT_EQ(cleanBatch.jobs.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     const JobReport& c = cleanBatch.jobs[i];

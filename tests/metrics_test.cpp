@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "db/database.h"
 #include "db/metrics.h"
 
@@ -99,6 +101,18 @@ TEST(MetricsTest, LegalityDetectsOffRowOffSiteOutOfRegion) {
   Database db2 = makePairDb(199, 0);  // b sticks out of the die
   const LegalityReport report2 = checkLegality(db2);
   EXPECT_EQ(report2.outOfRegion, 1);
+}
+
+TEST(MetricsTest, NonFinitePositionIsOutOfRegion) {
+  // Every comparison with NaN is false: without an explicit finiteness
+  // check a NaN cell would pass the region, row, site and overlap tests.
+  for (const Coord bad : {std::numeric_limits<Coord>::quiet_NaN(),
+                          std::numeric_limits<Coord>::infinity()}) {
+    Database db = makePairDb(bad, 24);
+    const LegalityReport report = checkLegality(db);
+    EXPECT_FALSE(report.legal) << report.summary();
+    EXPECT_EQ(report.outOfRegion, 1) << report.summary();
+  }
 }
 
 TEST(MetricsTest, LegalityDetectsOverlap) {

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
+#include <string>
 
+#include "autograd/tape.h"
 #include "common/counters.h"
+#include "common/parallel.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "db/metrics.h"
 #include "gen/netlist_generator.h"
 #include "ops/wirelength.h"
@@ -422,6 +429,430 @@ TEST(WirelengthFloatTest, Float32TracksFloat64) {
   const double v64 = op64.evaluate(p64, g64);
   const double v32 = op32.evaluate(p32, g32);
   EXPECT_NEAR(v32, v64, 1e-3 * std::abs(v64));
+}
+
+// ---------------------------------------------------------------------------
+// Merged WA kernel: lane groups (nets of one degree, one net per lane) and
+// solo nets against a net-at-a-time reference, bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Nets of every degree in [2, maxDegree], (3 * 8 + degree % 7) of each,
+/// so every degree bucket leaves a remainder at lane width 4 and 8;
+/// random movable cells (distinct per net) plus pins on fixed pads, one
+/// net on pads only, one single-pin net, random weights.
+std::unique_ptr<Database> degreeLadderDesign(Index maxDegree,
+                                             std::uint64_t seed) {
+  auto db = std::make_unique<Database>();
+  Rng rng(seed);
+  constexpr Index kMovable = 160;
+  constexpr Index kPads = 6;
+  const Coord die = 400;
+  for (Index c = 0; c < kMovable; ++c) {
+    db->addCell("c" + std::to_string(c), 2 + rng.uniform(0, 4), 4, true);
+  }
+  for (Index c = 0; c < kPads; ++c) {
+    const Index pad = db->addCell("p" + std::to_string(c), 2, 2, false);
+    db->setCellPosition(pad, rng.uniform(0, die - 2), rng.uniform(0, die - 2));
+  }
+  Index net_id = 0;
+  const auto addNet = [&](Index degree) {
+    const Index net = db->addNet("n" + std::to_string(net_id++),
+                                 rng.uniform(0.5, 2.0));
+    std::vector<Index> cells;
+    while (static_cast<Index>(cells.size()) < degree) {
+      const bool pad = rng.uniformInt(6) == 0;
+      const Index c = pad ? kMovable + static_cast<Index>(rng.uniformInt(kPads))
+                          : static_cast<Index>(rng.uniformInt(kMovable));
+      if (std::find(cells.begin(), cells.end(), c) == cells.end()) {
+        cells.push_back(c);
+      }
+    }
+    for (const Index c : cells) {
+      db->addPin(net, c, rng.uniform(-1, 1), rng.uniform(-2, 2));
+    }
+  };
+  for (Index degree = 2; degree <= maxDegree; ++degree) {
+    for (Index k = 0; k < 3 * 8 + degree % 7; ++k) {
+      addNet(degree);
+    }
+  }
+  addNet(1);
+  const Index pads_only = db->addNet("pads", 1.0);
+  db->addPin(pads_only, kMovable, 0, 0);
+  db->addPin(pads_only, kMovable + 1, 1, 0);
+  db->setDieArea({0, 0, die, die});
+  db->finalize();
+  return db;
+}
+
+template <typename T>
+struct MergedReference {
+  double wl = 0.0;
+  double hpwl = 0.0;
+  std::vector<T> grad;
+};
+
+/// The merged kernel's arithmetic, one net at a time: pin positions as
+/// PinPositionTables forms them, min/max, the exp arguments, vexpArray<V>
+/// over a net's 2*degree arguments, b/c folded in pin order (a net of at
+/// least V::kWidth pins folds lane partials and then the tail, as the
+/// per-net lane loops do), the WL term and the backward; WL and HPWL
+/// summed per 64-net block (dim 0, then dim 1), blocks in order; pin
+/// gradients gathered per node in CSR order.
+template <typename T, typename V>
+MergedReference<T> mergedReference(const NetTopologyView<T>& topo,
+                                   std::span<const T> params, Index numNodes,
+                                   Index ignoreDegree, double gammaD) {
+  constexpr Index kW = V::kWidth;
+  const T inv_gamma = static_cast<T>(1.0 / gammaD);
+  const T gamma = static_cast<T>(gammaD);
+  const Index num_pins = topo.numPins();
+  const Index num_nets = topo.numNets();
+  std::vector<T> pin[2];
+  std::vector<T> pin_grad[2];
+  for (int dim = 0; dim < 2; ++dim) {
+    pin[dim].resize(num_pins);
+    pin_grad[dim].assign(num_pins, T(0));
+    const T* coord = params.data() + dim * numNodes;
+    for (Index p = 0; p < num_pins; ++p) {
+      const Index node = topo.pinNode[p];
+      const T sel = node >= 0 ? T(1) : T(0);
+      const T base = node >= 0
+                         ? (dim == 0 ? topo.pinOffsetX[p] : topo.pinOffsetY[p])
+                         : (dim == 0 ? topo.pinFixedX[p] : topo.pinFixedY[p]);
+      pin[dim][p] = sel * coord[node >= 0 ? node : 0] + base;
+    }
+  }
+  std::vector<T> wl_term[2] = {std::vector<T>(num_nets, T(0)),
+                               std::vector<T>(num_nets, T(0))};
+  std::vector<T> hpwl_term(num_nets, T(0));
+  for (Index e = 0; e < num_nets; ++e) {
+    const Index begin = topo.netBegin(e);
+    const Index degree = topo.netDegree(e);
+    if (degree < 2) {
+      continue;
+    }
+    const bool ignored = ignoreDegree > 0 && degree > ignoreDegree;
+    const T weight = topo.netWeight[e];
+    T span_x = 0;
+    for (int dim = 0; dim < 2; ++dim) {
+      const T* pos = pin[dim].data() + begin;
+      T mn = std::numeric_limits<T>::infinity();
+      T mx = -mn;
+      for (Index i = 0; i < degree; ++i) {
+        mn = std::min(mn, pos[i]);
+        mx = std::max(mx, pos[i]);
+      }
+      if (dim == 0) {
+        span_x = mx - mn;
+      } else {
+        hpwl_term[e] = weight * (span_x + (mx - mn));
+      }
+      if (ignored) {
+        continue;
+      }
+      std::vector<T> arg(2 * degree), a(2 * degree);
+      for (Index i = 0; i < degree; ++i) {
+        arg[i] = (pos[i] - mx) * inv_gamma;
+        arg[degree + i] = (mn - pos[i]) * inv_gamma;
+      }
+      simd::vexpArray<V>(arg.data(), a.data(), 2 * degree);
+      const T* ap = a.data();
+      const T* am = a.data() + degree;
+      const T* gp_arg = arg.data();
+      const T* gm_arg = arg.data() + degree;
+      T bp, bm, cp, cm;
+      Index i = 0;
+      if (degree >= kW) {
+        T lbp[kW], lbm[kW], lcp[kW], lcm[kW];
+        for (Index l = 0; l < kW; ++l) {
+          lbp[l] = ap[l];
+          lbm[l] = am[l];
+          lcp[l] = gp_arg[l] * ap[l];
+          lcm[l] = gm_arg[l] * am[l];
+        }
+        for (i = kW; i + kW <= degree; i += kW) {
+          for (Index l = 0; l < kW; ++l) {
+            lbp[l] += ap[i + l];
+            lbm[l] += am[i + l];
+            lcp[l] = gp_arg[i + l] * ap[i + l] + lcp[l];
+            lcm[l] = gm_arg[i + l] * am[i + l] + lcm[l];
+          }
+        }
+        bp = lbp[0];
+        bm = lbm[0];
+        cp = lcp[0];
+        cm = lcm[0];
+        for (Index l = 1; l < kW; ++l) {
+          bp += lbp[l];
+          bm += lbm[l];
+          cp += lcp[l];
+          cm += lcm[l];
+        }
+      } else {
+        bp = ap[0];
+        bm = am[0];
+        cp = gp_arg[0] * ap[0];
+        cm = gm_arg[0] * am[0];
+        i = 1;
+      }
+      for (; i < degree; ++i) {
+        bp += ap[i];
+        bm += am[i];
+        cp += gp_arg[i] * ap[i];
+        cm += gm_arg[i] * am[i];
+      }
+      const T k_plus = cp / bp;
+      const T k_minus = cm / bm;
+      wl_term[dim][e] = weight * ((mx - mn) + gamma * (k_plus + k_minus));
+      const T inv_bp = T(1) / bp;
+      const T inv_bm = T(1) / bm;
+      for (Index j = 0; j < degree; ++j) {
+        const T gp = ap[j] * inv_bp * (T(1) - k_plus + gp_arg[j]);
+        const T gm = am[j] * inv_bm * (T(1) - k_minus + gm_arg[j]);
+        pin_grad[dim][begin + j] = weight * (gp - gm);
+      }
+    }
+  }
+  MergedReference<T> ref;
+  for (Index b0 = 0; b0 < num_nets; b0 += 64) {
+    const Index b1 = std::min<Index>(num_nets, b0 + 64);
+    double wl = 0.0;
+    double hp = 0.0;
+    for (int dim = 0; dim < 2; ++dim) {
+      for (Index e = b0; e < b1; ++e) {
+        if (topo.netDegree(e) >= 2) {
+          wl += static_cast<double>(wl_term[dim][e]);
+        }
+      }
+    }
+    for (Index e = b0; e < b1; ++e) {
+      if (topo.netDegree(e) >= 2) {
+        hp += static_cast<double>(hpwl_term[e]);
+      }
+    }
+    ref.wl += wl;
+    ref.hpwl += hp;
+  }
+  ref.grad.assign(2 * static_cast<std::size_t>(numNodes), T(0));
+  for (Index c = 0; c < topo.numCells(); ++c) {
+    for (int dim = 0; dim < 2; ++dim) {
+      T g = T(0);
+      for (Index k = topo.nodePinStart[c]; k < topo.nodePinStart[c + 1];
+           ++k) {
+        g += pin_grad[dim][topo.nodePins[k]];
+      }
+      ref.grad[dim * numNodes + c] += g;
+    }
+  }
+  return ref;
+}
+
+template <typename T>
+void expectMergedMatchesReference(bool simd, Index ignoreDegree,
+                                  int threads) {
+  SCOPED_TRACE(::testing::Message()
+               << "T=" << sizeof(T) << " simd=" << simd
+               << " ignore=" << ignoreDegree << " threads=" << threads);
+  ThreadPool::instance().setThreads(threads);
+  constexpr Index kWidest = std::max(8, simd::kNativeWidth<float>);
+  auto db = degreeLadderDesign(2 * kWidest + 1, 5);
+  const Index n = db->numMovable() + 3;  // trailing filler nodes
+  typename WaWirelengthOp<T>::Options opts;
+  opts.simd = simd;
+  opts.ignoreNetDegree = ignoreDegree;
+  WaWirelengthOp<T> op(*db, n, opts);
+  for (std::uint64_t seed : {1u, 2u}) {
+    const double gamma = seed == 1 ? 3.0 : 40.0;
+    op.setGamma(gamma);
+    const std::vector<T> params = randomParams<T>(*db, n, seed);
+    std::vector<T> grad(params.size());
+    const double value = op.evaluate(params, grad);
+    const MergedReference<T> ref =
+        simd && simd::kEnabled
+            ? mergedReference<T, simd::NativeVec<T>>(op.topology(), params, n,
+                                                     ignoreDegree, gamma)
+            : mergedReference<T, simd::ScalarVec<T, 1>>(
+                  op.topology(), params, n, ignoreDegree, gamma);
+    EXPECT_EQ(value, ref.wl);
+    EXPECT_EQ(op.lastHpwl(), ref.hpwl);
+    EXPECT_EQ(op.lastHpwl(), op.hpwl(params));
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+      ASSERT_EQ(grad[i], ref.grad[i]) << "param " << i;
+    }
+  }
+  ThreadPool::instance().setThreads(0);
+}
+
+TEST(WaMergedLanesTest, BitIdenticalToNetAtATimeReference) {
+  for (const int threads : {1, 4}) {
+    for (const bool simd : {true, false}) {
+      for (const Index ignore : {0, 11}) {
+        expectMergedMatchesReference<float>(simd, ignore, threads);
+        expectMergedMatchesReference<double>(simd, ignore, threads);
+      }
+    }
+  }
+}
+
+/// simd/vexp_calls per merged evaluate, derived from the netlist alone:
+/// active nets with 2 <= degree < width fill lane groups of `width` nets
+/// per degree, each group making 2*degree vexp calls per dimension;
+/// every other active net makes ceil(2*degree / width) calls per
+/// dimension (one vexpArray over its arguments). Ignored nets make none.
+std::int64_t expectedMergedVexpCalls(const NetTopologyView<double>& topo,
+                                     Index width, Index ignoreDegree) {
+  std::vector<Index> bucket(width > 2 ? width : 2, 0);
+  std::int64_t calls = 0;
+  for (Index e = 0; e < topo.numNets(); ++e) {
+    const Index degree = topo.netDegree(e);
+    if (degree < 2 || (ignoreDegree > 0 && degree > ignoreDegree)) {
+      continue;
+    }
+    if (degree < width) {
+      ++bucket[degree];
+    } else {
+      calls += 2 * ((2 * degree + width - 1) / width);
+    }
+  }
+  for (Index degree = 2; degree < width; ++degree) {
+    const Index groups = bucket[degree] / width;
+    calls += groups * 4 * degree;
+    calls += (bucket[degree] - groups * width) * 2 *
+             ((2 * degree + width - 1) / width);
+  }
+  return calls;
+}
+
+TEST(WaMergedLanesTest, VexpCallCountIsExact) {
+  auto db = degreeLadderDesign(12, 9);
+  const Index n = db->numMovable();
+  auto& registry = CounterRegistry::instance();
+  for (const bool simd : {true, false}) {
+    WaWirelengthOp<double>::Options opts;
+    opts.simd = simd;
+    opts.ignoreNetDegree = 10;
+    WaWirelengthOp<double> op(*db, n, opts);
+    op.setGamma(4.0);
+    const Index width = simd && simd::kEnabled
+                            ? simd::kNativeWidth<double>
+                            : 1;
+    const std::vector<double> params = randomParams<double>(*db, n, 3);
+    std::vector<double> grad(params.size());
+    const auto before = registry.value("simd/vexp_calls");
+    op.evaluate(params, grad);
+    EXPECT_EQ(registry.value("simd/vexp_calls") - before,
+              expectedMergedVexpCalls(op.topology(), width, 10))
+        << "simd=" << simd;
+  }
+  // Spelled out at width 4 (AVX2 double) on 27 degree-2 nets (26 plus
+  // the pads-only net): 6 lane groups of 2 * 2 calls per dimension, and
+  // 3 solo nets of ceil(4 / 4) calls per dimension.
+  if (simd::kEnabled && simd::kNativeWidth<double> == 4) {
+    auto tiny = degreeLadderDesign(2, 1);
+    WaWirelengthOp<double> op(*tiny, tiny->numMovable());
+    op.setGamma(4.0);
+    const std::vector<double> params =
+        randomParams<double>(*tiny, tiny->numMovable(), 3);
+    std::vector<double> grad(params.size());
+    const auto before = registry.value("simd/vexp_calls");
+    op.evaluate(params, grad);
+    EXPECT_EQ(registry.value("simd/vexp_calls") - before,
+              6 * (2 * 2 * 2) + 3 * (2 * 1));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Tape oracle: the merged WA and the LSE gradients against the same
+// formulas differentiated by autograd/tape.h (libm exp), in double.
+// ---------------------------------------------------------------------------
+
+/// Builds the tape expression of the whole wirelength (WA when `wa`,
+/// else LSE) over one variable per movable-node coordinate.
+double tapeWirelength(const NetTopologyView<double>& topo,
+                      std::span<const double> params, Index numNodes,
+                      double gamma, bool wa, std::vector<double>& gradOut) {
+  using autograd::Tape;
+  using autograd::Var;
+  Tape tape;
+  std::vector<Var> coord(2 * static_cast<std::size_t>(numNodes));
+  for (std::size_t i = 0; i < coord.size(); ++i) {
+    coord[i] = tape.variable(params[i]);
+  }
+  std::vector<Var> terms;
+  for (Index e = 0; e < topo.numNets(); ++e) {
+    if (topo.netDegree(e) < 2) {
+      continue;
+    }
+    for (int dim = 0; dim < 2; ++dim) {
+      std::vector<Var> pos;
+      for (Index p = topo.netBegin(e); p < topo.netEnd(e); ++p) {
+        const Index node = topo.pinNode[p];
+        if (node >= 0) {
+          pos.push_back(coord[dim * numNodes + node] +
+                        (dim == 0 ? topo.pinOffsetX[p] : topo.pinOffsetY[p]));
+        } else {
+          pos.push_back(tape.constant(dim == 0 ? topo.pinFixedX[p]
+                                               : topo.pinFixedY[p]));
+        }
+      }
+      Var mx = pos[0];
+      Var mn = pos[0];
+      for (std::size_t k = 1; k < pos.size(); ++k) {
+        mx = maximum(mx, pos[k]);
+        mn = minimum(mn, pos[k]);
+      }
+      Var bp = tape.constant(0.0);
+      Var bm = tape.constant(0.0);
+      Var cp = tape.constant(0.0);
+      Var cm = tape.constant(0.0);
+      for (const Var& x : pos) {
+        const Var ap = exp((x - mx) / gamma);
+        const Var am = exp((mn - x) / gamma);
+        bp = bp + ap;
+        bm = bm + am;
+        cp = cp + (x - mx) * ap;
+        cm = cm + (x - mn) * am;
+      }
+      const Var term = wa ? (cp / bp + mx) - (cm / bm + mn)
+                          : gamma * (log(bp) + log(bm)) + (mx - mn);
+      terms.push_back(term * topo.netWeight[e]);
+    }
+  }
+  const Var total = autograd::sum(terms);
+  tape.backward(total);
+  gradOut.resize(coord.size());
+  for (std::size_t i = 0; i < coord.size(); ++i) {
+    gradOut[i] = tape.grad(coord[i]);
+  }
+  return total.value();
+}
+
+TEST(WirelengthTapeOracleTest, MergedWaAndLseMatchTapeGradients) {
+  // Degrees 2-12: at 4 double lanes, degrees 2-3 run as lane groups
+  // (and their bucket remainders solo), degrees 4-12 solo.
+  auto db = degreeLadderDesign(12, 17);
+  const Index n = db->numMovable();
+  const double gamma = 6.0;
+  const std::vector<double> params = randomParams<double>(*db, n, 5);
+  WaWirelengthOp<double> wa(*db, n);
+  LseWirelengthOp<double> lse(*db, n);
+  for (const bool is_wa : {true, false}) {
+    SCOPED_TRACE(is_wa ? "WA" : "LSE");
+    WirelengthOp<double>& op = is_wa ? static_cast<WirelengthOp<double>&>(wa)
+                                     : static_cast<WirelengthOp<double>&>(lse);
+    op.setGamma(gamma);
+    std::vector<double> grad(params.size());
+    const double value = op.evaluate(params, grad);
+    std::vector<double> tape_grad;
+    const double tape_value =
+        tapeWirelength(wa.topology(), params, n, gamma, is_wa, tape_grad);
+    EXPECT_NEAR(value, tape_value, 1e-9 * std::abs(tape_value));
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+      ASSERT_NEAR(grad[i], tape_grad[i], 1e-9 * (1 + std::abs(tape_grad[i])))
+          << "param " << i;
+    }
+  }
 }
 
 }  // namespace
