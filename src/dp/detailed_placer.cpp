@@ -14,6 +14,7 @@
 #include "db/metrics.h"
 #include "dp/independent_set.h"
 #include "dp/net_bbox.h"
+#include "dp/row_index.h"
 #include "lg/macro_legalizer.h"
 
 // Parallelization (docs/PARALLEL.md, "The back-end"): reorder and ISM
@@ -48,52 +49,6 @@ void incidentNetsInto(const Database& db, const Index* cells, int count,
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
-
-/// Row occupancy: cells of each row sorted by x. Fixed cells (pads,
-/// macros) are included as immovable entries so window/swap moves never
-/// pack over them.
-struct RowIndex {
-  std::vector<std::vector<Index>> rows;
-  std::vector<char> movableEntry;  ///< Per cell: participates in DP moves.
-  Coord rowHeight = 0;
-  Coord yBase = 0;
-
-  bool isMovableEntry(Index i) const { return movableEntry[i] != 0; }
-
-  void build(const Database& db) {
-    rowHeight = db.rowHeight();
-    yBase = db.rows().front().y;
-    rows.assign(db.rows().size(), {});
-    movableEntry.assign(db.numCells(), 0);
-    const auto num_rows = static_cast<Index>(rows.size());
-    for (Index i = 0; i < db.numCells(); ++i) {
-      // Standard movable cells are DP-movable; fixed cells and movable
-      // macros are obstacles spanning every row band they overlap.
-      if (db.isMovable(i) && !isMovableMacro(db, i)) {
-        movableEntry[i] = 1;
-        rows[rowOf(db.cellY(i))].push_back(i);
-        continue;
-      }
-      const Box<Coord> box = db.cellBox(i);
-      const Index r0 = rowOf(box.yl + 1e-9);
-      const Index r1 = rowOf(box.yh - 1e-9);
-      for (Index r = std::max<Index>(0, r0);
-           r <= std::min(num_rows - 1, r1); ++r) {
-        rows[r].push_back(i);
-      }
-    }
-    for (std::vector<Index>& row : rows) {
-      std::sort(row.begin(), row.end(), [&](Index a, Index b) {
-        return db.cellX(a) < db.cellX(b);
-      });
-    }
-  }
-
-  Index rowOf(Coord y) const {
-    const auto r = static_cast<Index>(std::round((y - yBase) / rowHeight));
-    return std::clamp<Index>(r, 0, static_cast<Index>(rows.size()) - 1);
-  }
-};
 
 // ---- Intra-row reordering -------------------------------------------------
 
@@ -182,12 +137,12 @@ WindowEval evaluateWindow(const Database& db, const RowIndex& rowIndex,
 /// Applies a winning permutation: moves the w cells to their packed
 /// positions (updating the bbox cache move-by-move so its rescans always
 /// see a database consistent with the cache) and rewrites the row order.
-void commitWindow(Database& db, NetBboxCache& cache, std::vector<Index>& row,
+void commitWindow(Database& db, NetBboxCache& cache, RowIndex& rows, Index r,
                   std::size_t start, int w, const std::vector<int>& perm,
                   Coord span_xl) {
   Index cells[NetBboxEval::kMaxOverrides];
   for (int k = 0; k < w; ++k) {
-    cells[k] = row[start + k];
+    cells[k] = rows.row(r)[start + k];
   }
   const Coord orig_y = db.cellY(cells[0]);
   Coord x = span_xl;
@@ -197,7 +152,7 @@ void commitWindow(Database& db, NetBboxCache& cache, std::vector<Index>& row,
     const Coord old_y = db.cellY(c);
     db.setCellPosition(c, x, orig_y);
     cache.moveCell(db, c, old_x, old_y);
-    row[start + k] = c;
+    rows.place(r, start + k, c);
     x += db.cellWidth(c);
   }
 }
@@ -288,10 +243,10 @@ void enumerateSwapCandidates(const Database& db, const RowIndex& rows,
         continue;
       }
       const Index r = target_row + sign * dr;
-      if (r < 0 || r >= static_cast<Index>(rows.rows.size())) {
+      if (r < 0 || r >= rows.numRows()) {
         continue;
       }
-      const auto& row = rows.rows[r];
+      const std::vector<Index>& row = rows.row(r);
       if (row.empty()) {
         continue;
       }
@@ -404,8 +359,9 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
     // ---- Intra-row local reordering ------------------------------------
     {
       ScopedTimer t("dp/reorder");
-      for (std::vector<Index>& row : rows.rows) {
+      for (Index r = 0; r < rows.numRows(); ++r) {
         flow.throwIfInterrupted();
+        const std::vector<Index>& row = rows.row(r);
         if (static_cast<int>(row.size()) < w) {
           continue;
         }
@@ -419,7 +375,7 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
           if (!ev.improved) {
             continue;
           }
-          commitWindow(db, cache, row, start, w, rscratch.bestPerm,
+          commitWindow(db, cache, rows, r, start, w, rscratch.bestPerm,
                        ev.spanXl);
           ++result.reorderMoves;
         }
@@ -554,13 +510,7 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
               cache.moveCell(db, cell, cx, cy);
               db.setCellPosition(other, cx, cy);
               cache.moveCell(db, other, ox2, oy2);
-              // Update row occupancy.
-              const Index cell_row = rows.rowOf(db.cellY(other));
-              const Index other_row = rows.rowOf(db.cellY(cell));
-              std::replace(rows.rows[cell_row].begin(),
-                           rows.rows[cell_row].end(), cell, other);
-              std::replace(rows.rows[other_row].begin(),
-                           rows.rows[other_row].end(), other, cell);
+              rows.exchange(cell, other);
               if (parallel_mode) {
                 cell_stamp[cell] = 1;
                 cell_stamp[other] = 1;
