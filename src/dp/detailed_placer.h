@@ -28,9 +28,12 @@ struct DetailedPlacerResult {
 
 class DetailedPlacer {
  public:
+  static constexpr int kMaxWindowSize = 16;
+
   struct Options {
     int passes = 3;
-    int windowSize = 3;          ///< Cells per reorder window (3 => 6 perms).
+    /// Cells per reorder window (3 => 6 perms), in [2, kMaxWindowSize].
+    int windowSize = 3;
     double swapRadiusRows = 10;  ///< Search radius around the optimal region.
     int maxCandidates = 12;      ///< Swap candidates examined per cell.
     /// Stop early once a full pass improves HPWL by less than this

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <unordered_set>
 
 #include "common/counters.h"
 #include "common/flow_context.h"
@@ -16,37 +15,55 @@
 
 namespace dreamplace {
 
-std::vector<int> solveAssignment(
-    const std::vector<std::vector<double>>& cost) {
-  // Kuhn-Munkres with potentials (the standard O(n^3) formulation using
-  // 1-based auxiliary arrays; row 0 / column 0 are sentinels).
-  const int n = static_cast<int>(cost.size());
+namespace {
+
+/// Reusable workspace of the assignment solver (1-based auxiliary arrays;
+/// row 0 / column 0 are sentinels), so solving a set allocates nothing
+/// once the largest set size has been seen.
+struct AssignmentScratch {
+  std::vector<double> u, v, minv;
+  std::vector<int> p, way;
+  std::vector<char> used;
+};
+
+/// Kuhn-Munkres with potentials (the standard O(n^3) formulation) over the
+/// row-major n x n matrix `cost`. Writes the optimal column of each row to
+/// `assignment`; returns false when any cost is NaN or infinite.
+bool solveAssignmentInto(const double* cost, int n, AssignmentScratch& ws,
+                         std::vector<int>& assignment) {
   // A NaN or infinite cost makes every `<` below false, so the augmenting
   // search would never find a column and never exit.
-  for (const std::vector<double>& row : cost) {
-    for (double c : row) {
-      if (!std::isfinite(c)) {
-        return {};
-      }
+  for (int i = 0; i < n * n; ++i) {
+    if (!std::isfinite(cost[i])) {
+      return false;
     }
   }
-  std::vector<double> u(n + 1, 0.0), v(n + 1, 0.0);
-  std::vector<int> p(n + 1, 0), way(n + 1, 0);
+  constexpr double kInfinity = std::numeric_limits<double>::infinity();
+  std::vector<double>& u = ws.u;
+  std::vector<double>& v = ws.v;
+  std::vector<double>& minv = ws.minv;
+  std::vector<int>& p = ws.p;
+  std::vector<int>& way = ws.way;
+  std::vector<char>& used = ws.used;
+  u.assign(n + 1, 0.0);
+  v.assign(n + 1, 0.0);
+  p.assign(n + 1, 0);
+  way.assign(n + 1, 0);
   for (int i = 1; i <= n; ++i) {
     p[0] = i;
     int j0 = 0;
-    std::vector<double> minv(n + 1, std::numeric_limits<double>::infinity());
-    std::vector<char> used(n + 1, 0);
+    minv.assign(n + 1, kInfinity);
+    used.assign(n + 1, 0);
     do {
       used[j0] = 1;
       const int i0 = p[j0];
-      double delta = std::numeric_limits<double>::infinity();
+      double delta = kInfinity;
       int j1 = 0;
       for (int j = 1; j <= n; ++j) {
         if (used[j]) {
           continue;
         }
-        const double cur = cost[i0 - 1][j - 1] - u[i0] - v[j];
+        const double cur = cost[(i0 - 1) * n + (j - 1)] - u[i0] - v[j];
         if (cur < minv[j]) {
           minv[j] = cur;
           way[j] = j0;
@@ -72,35 +89,32 @@ std::vector<int> solveAssignment(
       j0 = j1;
     } while (j0);
   }
-  std::vector<int> assignment(n, -1);
+  assignment.assign(n, -1);
   for (int j = 1; j <= n; ++j) {
     if (p[j] > 0) {
       assignment[p[j] - 1] = j - 1;
     }
   }
-  return assignment;
-}
-
-namespace {
-
-/// Cost of placing `cell` with lower-left (x, y): sum of its incident
-/// nets' HPWL with the cell moved there and everything else in place.
-/// Deliberately iterates the cell's pins (a net shared by two of the
-/// cell's pins counts twice), matching the original full-scan cost; each
-/// per-net value comes from the bbox cache's exact delta/rescan path.
-/// The caller establishes `cell` as override slot 0 once per matrix row;
-/// updateOverride then skips the moved-pin rebuild per entry.
-double moveCost(const Database& db, NetBboxEval& eval, Index cell, Coord x,
-                Coord y) {
-  eval.updateOverride(0, x, y);
-  double total = 0.0;
-  for (Index s = db.cellPinBegin(cell); s < db.cellPinEnd(cell); ++s) {
-    total += eval.netHpwl(db.pinNet(db.cellPinAt(s)));
-  }
-  return total;
+  return true;
 }
 
 }  // namespace
+
+std::vector<int> solveAssignment(
+    const std::vector<std::vector<double>>& cost) {
+  const int n = static_cast<int>(cost.size());
+  std::vector<double> flat;
+  flat.reserve(static_cast<std::size_t>(n) * n);
+  for (const std::vector<double>& row : cost) {
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+  AssignmentScratch ws;
+  std::vector<int> assignment;
+  if (!solveAssignmentInto(flat.data(), n, ws, assignment)) {
+    return {};
+  }
+  return assignment;
+}
 
 IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
   ScopedTimer timer("dp/ism");
@@ -118,17 +132,25 @@ IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
 
   NetBboxCache cache;
   cache.build(db);
-  NetBboxEval eval(db, cache);
+  MoveTable table;
+  BboxCounts counts;
   const auto flushCounters = [&]() {
     CounterRegistry& reg = currentCounterRegistry();
-    reg.add("dp/bbox_delta", eval.deltas);
-    reg.add("dp/bbox_rescan", eval.rescans + cache.maintenanceRescans);
+    reg.add("dp/bbox_delta", counts.deltas);
+    reg.add("dp/bbox_rescan", counts.rescans + cache.maintenanceRescans);
   };
   const FlowContext& flow = FlowContext::current();
 
   static Counter nonfinite_sets("dp/ism_nonfinite_sets");
-  std::unordered_set<Index> used_nets;
+  // A net is used by the set being built iff its stamp equals the set's
+  // epoch, so starting a set is one increment instead of a clear.
+  std::vector<std::int64_t> net_epoch(db.numNets(), 0);
+  std::int64_t epoch = 0;
   std::vector<Index> set;
+  std::vector<double> cost;  ///< Row-major k x k: cell i at slot j.
+  std::vector<int> assignment;
+  std::vector<std::pair<Coord, Coord>> slots;
+  AssignmentScratch ws;
   for (auto& [footprint, cells] : by_width) {
     if (static_cast<int>(cells.size()) < 2) {
       continue;
@@ -140,7 +162,7 @@ IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
     while (cursor < cells.size()) {
       flow.throwIfInterrupted();
       set.clear();
-      used_nets.clear();
+      ++epoch;
       for (; cursor < cells.size() &&
              static_cast<int>(set.size()) < options.maxSetSize;
            ++cursor) {
@@ -148,7 +170,7 @@ IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
         bool independent = true;
         for (Index s = db.cellPinBegin(cell);
              s < db.cellPinEnd(cell) && independent; ++s) {
-          independent = !used_nets.count(db.pinNet(db.cellPinAt(s)));
+          independent = net_epoch[db.pinNet(db.cellPinAt(s))] != epoch;
         }
         if (!independent) {
           continue;  // skipped for this pass (the next pass rescans)
@@ -156,43 +178,43 @@ IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
         set.push_back(cell);
         for (Index s = db.cellPinBegin(cell); s < db.cellPinEnd(cell);
              ++s) {
-          used_nets.insert(db.pinNet(db.cellPinAt(s)));
+          net_epoch[db.pinNet(db.cellPinAt(s))] = epoch;
         }
       }
       const int k = static_cast<int>(set.size());
       if (k < 2) {
         continue;
       }
-      // Cost matrix: cell i at slot j (= cell j's current position).
-      std::vector<std::vector<double>> cost(k, std::vector<double>(k));
+      // Cost matrix: cell i at slot j (= cell j's current position), its
+      // nets summed in its pin order (a net holding two of the cell's pins
+      // counts twice, matching the original full-scan cost). One table
+      // per row: the slots only move the cell.
+      cost.resize(static_cast<std::size_t>(k) * k);
       for (int i = 0; i < k; ++i) {
-        eval.clearOverrides();
-        eval.setOverride(set[i], db.cellX(set[i]), db.cellY(set[i]));
+        table.build(db, &set[i], 1, kInvalidIndex, counts);
         for (int j = 0; j < k; ++j) {
-          cost[i][j] = moveCost(db, eval, set[i], db.cellX(set[j]),
-                                db.cellY(set[j]));
+          cost[i * k + j] =
+              table.pinOrderHpwl(db.cellX(set[j]), db.cellY(set[j]), counts);
         }
-        eval.clearOverrides();
       }
       double identity_cost = 0.0;
       for (int i = 0; i < k; ++i) {
-        identity_cost += cost[i][i];
+        identity_cost += cost[i * k + i];
       }
-      const std::vector<int> assignment = solveAssignment(cost);
-      if (assignment.empty()) {
+      if (!solveAssignmentInto(cost.data(), k, ws, assignment)) {
         // Non-finite cost: keep the set where it is.
         nonfinite_sets.add();
         continue;
       }
       double best_cost = 0.0;
       for (int i = 0; i < k; ++i) {
-        best_cost += cost[i][assignment[i]];
+        best_cost += cost[i * k + assignment[i]];
       }
       ++result.setsSolved;
       if (best_cost < identity_cost - 1e-9) {
         // Apply the permutation, keeping the bbox cache in lockstep so
         // later sets' cost rows stay exact.
-        std::vector<std::pair<Coord, Coord>> slots(k);
+        slots.resize(k);
         for (int j = 0; j < k; ++j) {
           slots[j] = {db.cellX(set[j]), db.cellY(set[j])};
         }

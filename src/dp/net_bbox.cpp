@@ -50,6 +50,8 @@ inline NetBboxCache::Box scanNet(const Database& db, Index net) {
 
 void NetBboxCache::build(const Database& db) {
   boxes_.resize(db.numNets());
+  rescanStamp_.assign(db.numNets(), 0);
+  moveStamp_ = 0;
   for (Index e = 0; e < db.numNets(); ++e) {
     boxes_[e] = scanNet(db, e);
   }
@@ -64,9 +66,15 @@ void NetBboxCache::moveCell(const Database& db, Index cell, Coord oldX,
                             Coord oldY) {
   const Coord halfW = db.cellWidth(cell) / 2;
   const Coord halfH = db.cellHeight(cell) / 2;
+  ++moveStamp_;
   for (Index s = db.cellPinBegin(cell); s < db.cellPinEnd(cell); ++s) {
     const Index pin = db.cellPinAt(s);
     const Index net = db.pinNet(pin);
+    if (rescanStamp_[net] == moveStamp_) {
+      // Rescanned for an earlier pin of this cell: the box already holds
+      // every pin of the cell at its new position.
+      continue;
+    }
     // Same arithmetic as Database::pinX/pinY, so equal inputs give equal
     // coordinates bit-for-bit.
     const double oldPx = oldX + halfW + db.pinOffsetX(pin);
@@ -79,6 +87,7 @@ void NetBboxCache::moveCell(const Database& db, Index cell, Coord oldX,
     if ((oldPx == b.xl && b.nxl <= 1) || (oldPx == b.xh && b.nxh <= 1) ||
         (oldPy == b.yl && b.nyl <= 1) || (oldPy == b.yh && b.nyh <= 1)) {
       rescanNet(db, net);
+      rescanStamp_[net] = moveStamp_;
       continue;
     }
     if (oldPx == b.xl) --b.nxl;
@@ -89,165 +98,214 @@ void NetBboxCache::moveCell(const Database& db, Index cell, Coord oldX,
   }
 }
 
-double NetBboxCache::netsHpwl(const Database& db,
-                              const std::vector<Index>& nets) const {
-  double total = 0.0;
-  for (Index e : nets) {
-    total += netHpwl(db, e);
-  }
-  return total;
-}
-
-void NetBboxEval::setOverride(Index cell, Coord x, Coord y) {
-  DP_ASSERT_MSG(numOverrides_ < kMaxOverrides,
-                "NetBboxEval: more than %d overridden cells", kMaxOverrides);
-  cells_[numOverrides_] = cell;
-  xs_[numOverrides_] = x;
-  ys_[numOverrides_] = y;
-  ++numOverrides_;
-  movedDirty_ = true;
-}
-
-void NetBboxEval::updateOverride(int slot, Coord x, Coord y) {
-  DP_ASSERT_MSG(slot >= 0 && slot < numOverrides_,
-                "NetBboxEval: updateOverride slot %d out of range", slot);
-  xs_[slot] = x;
-  ys_[slot] = y;
-  if (movedDirty_) {
-    return;  // the pending refresh reads xs_/ys_ anyway
-  }
-  const Index cell = cells_[slot];
-  const Coord halfW = db_.cellWidth(cell) / 2;
-  const Coord halfH = db_.cellHeight(cell) / 2;
-  for (MovedPin& m : moved_) {
-    if (m.slot == slot) {
-      m.newX = x + halfW + db_.pinOffsetX(m.pin);
-      m.newY = y + halfH + db_.pinOffsetY(m.pin);
+void MoveTable::build(const Database& db, const Index* cells, int count,
+                      Index alsoExcluded, BboxCounts& counts) {
+  nets_.clear();
+  pins_.clear();
+  order_.clear();
+  unsorted_.clear();
+  for (int k = 0; k < count; ++k) {
+    const Index cell = cells[k];
+    const Coord halfW = db.cellWidth(cell) / 2;
+    const Coord halfH = db.cellHeight(cell) / 2;
+    for (Index s = db.cellPinBegin(cell); s < db.cellPinEnd(cell); ++s) {
+      const Index pin = db.cellPinAt(s);
+      order_.emplace_back(db.pinNet(pin),
+                          static_cast<std::int32_t>(unsorted_.size()));
+      unsorted_.push_back({k, halfW, halfH, db.pinOffsetX(pin),
+                           db.pinOffsetY(pin)});
     }
   }
-}
-
-void NetBboxEval::refreshMovedPins() {
-  moved_.clear();
-  groups_.clear();
-  for (int k = 0; k < numOverrides_; ++k) {
-    const Index cell = cells_[k];
-    const Coord halfW = db_.cellWidth(cell) / 2;
-    const Coord halfH = db_.cellHeight(cell) / 2;
-    for (Index s = db_.cellPinBegin(cell); s < db_.cellPinEnd(cell); ++s) {
-      const Index pin = db_.cellPinAt(s);
-      MovedPin m;
-      m.net = db_.pinNet(pin);
-      m.pin = pin;
-      m.slot = k;
-      m.newX = xs_[k] + halfW + db_.pinOffsetX(pin);
-      m.newY = ys_[k] + halfH + db_.pinOffsetY(pin);
-      moved_.push_back(m);
-    }
-  }
-  std::sort(moved_.begin(), moved_.end(),
-            [](const MovedPin& a, const MovedPin& b) { return a.net < b.net; });
-  // One complement-box scan per distinct touched net: the bbox of the
-  // net's pins that do NOT sit on an overridden cell. Positions of the
-  // overridden cells never enter it, so it survives updateOverride().
+  std::sort(order_.begin(), order_.end());
+  netOfPin_.resize(order_.size());
   constexpr double kInfinity = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < moved_.size();) {
-    std::size_t j = i;
-    while (j < moved_.size() && moved_[j].net == moved_[i].net) {
-      ++j;
+  for (std::size_t i = 0; i < order_.size();) {
+    const Index e = order_[i].first;
+    Net n;
+    n.net = e;
+    n.degenerate = db.netPinEnd(e) - db.netPinBegin(e) < 2;
+    n.hasRest = false;
+    n.weight = db.netWeight(e);
+    n.xl = kInfinity;
+    n.xh = -kInfinity;
+    n.yl = kInfinity;
+    n.yh = -kInfinity;
+    n.pinBegin = static_cast<std::int32_t>(pins_.size());
+    for (; i < order_.size() && order_[i].first == e; ++i) {
+      netOfPin_[order_[i].second] = static_cast<std::int32_t>(nets_.size());
+      pins_.push_back(unsorted_[order_[i].second]);
     }
-    NetGroup g;
-    g.net = moved_[i].net;
-    g.begin = static_cast<std::int32_t>(i);
-    g.count = static_cast<std::int32_t>(j - i);
-    g.xl = kInfinity;
-    g.xh = -kInfinity;
-    g.yl = kInfinity;
-    g.yh = -kInfinity;
-    for (Index p = db_.netPinBegin(g.net); p < db_.netPinEnd(g.net); ++p) {
-      const Index c = db_.pinCell(p);
-      bool overridden = false;
-      for (int k = 0; k < numOverrides_; ++k) {
-        if (cells_[k] == c) {
-          overridden = true;
-          break;
-        }
+    n.pinEnd = static_cast<std::int32_t>(pins_.size());
+    n.ySpan = 0.0;
+    // The complement box: the net's pins on neither a moving cell nor the
+    // excluded partner. It depends only on pins that stay put.
+    for (Index p = db.netPinBegin(e); p < db.netPinEnd(e); ++p) {
+      const Index c = db.pinCell(p);
+      bool moving = c == alsoExcluded;
+      for (int k = 0; k < count && !moving; ++k) {
+        moving = cells[k] == c;
       }
-      if (overridden) {
+      if (moving) {
         continue;
       }
-      const double px = db_.pinX(p);
-      const double py = db_.pinY(p);
-      g.xl = std::min(g.xl, px);
-      g.xh = std::max(g.xh, px);
-      g.yl = std::min(g.yl, py);
-      g.yh = std::max(g.yh, py);
+      const double px = db.pinX(p);
+      const double py = db.pinY(p);
+      n.hasRest = true;
+      n.xl = std::min(n.xl, px);
+      n.xh = std::max(n.xh, px);
+      n.yl = std::min(n.yl, py);
+      n.yh = std::max(n.yh, py);
     }
-    ++rescans;
-    groups_.push_back(g);
-    i = j;
+    ++counts.rescans;
+    nets_.push_back(n);
   }
-  movedDirty_ = false;
 }
 
-double NetBboxEval::evalGroup(const NetGroup& g) {
-  if (db_.netPinEnd(g.net) - db_.netPinBegin(g.net) < 2) {
+namespace {
+
+/// Extends (xl, xh, yl, yh) by pins [p, end) of a cell at (x, y).
+inline void foldPins(double& xl, double& xh, double& yl, double& yh,
+                     const MoveTable::Pin* p, const MoveTable::Pin* end,
+                     Coord x, Coord y) {
+  for (; p < end; ++p) {
+    const double px = x + p->halfW + p->offX;
+    const double py = y + p->halfH + p->offY;
+    xl = std::min(xl, px);
+    xh = std::max(xh, px);
+    yl = std::min(yl, py);
+    yh = std::max(yh, py);
+  }
+}
+
+}  // namespace
+
+double MoveTable::netHpwl(const Net& n, const Coord* xs,
+                          const Coord* ys) const {
+  if (n.degenerate) {
     return 0.0;
   }
-  // Full box = complement box extended by the moved pins' new positions;
-  // min/max selection is order-independent, so this equals a full scan
-  // bit-for-bit.
-  double xl = g.xl, xh = g.xh, yl = g.yl, yh = g.yh;
-  const MovedPin* m = moved_.data() + g.begin;
-  for (std::int32_t i = 0; i < g.count; ++i) {
-    xl = std::min(xl, m[i].newX);
-    xh = std::max(xh, m[i].newX);
-    yl = std::min(yl, m[i].newY);
-    yh = std::max(yh, m[i].newY);
+  double xl = n.xl, xh = n.xh, yl = n.yl, yh = n.yh;
+  for (const Pin* p = pins(n); p < pinsEnd(n); ++p) {
+    const double px = xs[p->slot] + p->halfW + p->offX;
+    const double py = ys[p->slot] + p->halfH + p->offY;
+    xl = std::min(xl, px);
+    xh = std::max(xh, px);
+    yl = std::min(yl, py);
+    yh = std::max(yh, py);
   }
-  ++deltas;
-  return db_.netWeight(g.net) * ((xh - xl) + (yh - yl));
+  return n.weight * ((xh - xl) + (yh - yl));
 }
 
-double NetBboxEval::evalUntouched(Index net) {
-  if (db_.netPinEnd(net) - db_.netPinBegin(net) < 2) {
-    return 0.0;
-  }
-  const NetBboxCache::Box& b = cache_.box(net);
-  ++deltas;
-  return db_.netWeight(net) * ((b.xh - b.xl) + (b.yh - b.yl));
-}
-
-double NetBboxEval::netsHpwl(const std::vector<Index>& nets) {
-  if (movedDirty_) {
-    refreshMovedPins();
-  }
+double MoveTable::cachedHpwl(const NetBboxCache& cache,
+                             BboxCounts& counts) const {
   double total = 0.0;
-  std::size_t cursor = 0;
-  for (Index e : nets) {
-    while (cursor < groups_.size() && groups_[cursor].net < e) {
-      ++cursor;
+  for (const Net& n : nets_) {
+    if (n.degenerate) {
+      total += 0.0;
+      continue;
     }
-    if (cursor < groups_.size() && groups_[cursor].net == e) {
-      total += evalGroup(groups_[cursor]);
-    } else {
-      total += evalUntouched(e);
-    }
+    const NetBboxCache::Box& b = cache.box(n.net);
+    total += n.weight * ((b.xh - b.xl) + (b.yh - b.yl));
+    ++counts.deltas;
   }
   return total;
 }
 
-double NetBboxEval::netHpwl(Index net) {
-  if (movedDirty_) {
-    refreshMovedPins();
+double MoveTable::sumHpwl(const Coord* xs, const Coord* ys,
+                          BboxCounts& counts) const {
+  double total = 0.0;
+  for (const Net& n : nets_) {
+    total += netHpwl(n, xs, ys);
+    counts.deltas += !n.degenerate;
   }
-  const auto it = std::lower_bound(
-      groups_.begin(), groups_.end(), net,
-      [](const NetGroup& g, Index e) { return g.net < e; });
-  if (it != groups_.end() && it->net == net) {
-    return evalGroup(*it);
+  return total;
+}
+
+void MoveTable::setRowY(Coord y) {
+  for (Net& n : nets_) {
+    double yl = n.yl, yh = n.yh;
+    for (const Pin* p = pins(n); p < pinsEnd(n); ++p) {
+      const double py = y + p->halfH + p->offY;
+      yl = std::min(yl, py);
+      yh = std::max(yh, py);
+    }
+    n.ySpan = yh - yl;
   }
-  return evalUntouched(net);
+}
+
+double MoveTable::sumHpwlInRow(const Coord* xs, BboxCounts& counts) const {
+  double total = 0.0;
+  for (const Net& n : nets_) {
+    if (n.degenerate) {
+      total += 0.0;
+      continue;
+    }
+    double xl = n.xl, xh = n.xh;
+    for (const Pin* p = pins(n); p < pinsEnd(n); ++p) {
+      const double px = xs[p->slot] + p->halfW + p->offX;
+      xl = std::min(xl, px);
+      xh = std::max(xh, px);
+    }
+    total += n.weight * ((xh - xl) + n.ySpan);
+    ++counts.deltas;
+  }
+  return total;
+}
+
+double MoveTable::pinOrderHpwl(Coord x, Coord y, BboxCounts& counts) {
+  values_.resize(nets_.size());
+  for (std::size_t i = 0; i < nets_.size(); ++i) {
+    const Net& n = nets_[i];
+    double xl = n.xl, xh = n.xh, yl = n.yl, yh = n.yh;
+    foldPins(xl, xh, yl, yh, pins(n), pinsEnd(n), x, y);
+    values_[i] = n.degenerate ? 0.0 : n.weight * ((xh - xl) + (yh - yl));
+    counts.deltas += !n.degenerate;
+  }
+  double total = 0.0;
+  for (const std::int32_t i : netOfPin_) {
+    total += values_[i];
+  }
+  return total;
+}
+
+SwapScore scoreSwap(const NetBboxCache& cache, const MoveTable& a,
+                    Coord ax, Coord ay, const MoveTable& b, Coord bx,
+                    Coord by, BboxCounts& counts) {
+  SwapScore score;
+  const std::vector<MoveTable::Net>& an = a.nets();
+  const std::vector<MoveTable::Net>& bn = b.nets();
+  std::size_t i = 0, j = 0;
+  while (i < an.size() || j < bn.size()) {
+    const MoveTable::Net* n;
+    double xl, xh, yl, yh;
+    if (j == bn.size() || (i < an.size() && an[i].net < bn[j].net)) {
+      n = &an[i];
+      xl = n->xl, xh = n->xh, yl = n->yl, yh = n->yh;
+      foldPins(xl, xh, yl, yh, a.pins(*n), a.pinsEnd(*n), bx, by);
+      ++i;
+    } else {
+      n = &bn[j];
+      xl = n->xl, xh = n->xh, yl = n->yl, yh = n->yh;
+      if (i < an.size() && an[i].net == n->net) {
+        const MoveTable::Net& shared = an[i];
+        foldPins(xl, xh, yl, yh, a.pins(shared), a.pinsEnd(shared), bx, by);
+        ++i;
+      }
+      foldPins(xl, xh, yl, yh, b.pins(*n), b.pinsEnd(*n), ax, ay);
+      ++j;
+    }
+    if (n->degenerate) {
+      score.before += 0.0;
+      score.after += 0.0;
+      continue;
+    }
+    const NetBboxCache::Box& cached = cache.box(n->net);
+    score.before +=
+        n->weight * ((cached.xh - cached.xl) + (cached.yh - cached.yl));
+    score.after += n->weight * ((xh - xl) + (yh - yl));
+    counts.deltas += 2;
+  }
+  return score;
 }
 
 }  // namespace dreamplace

@@ -1,36 +1,39 @@
-// Incremental net-bounding-box cache for the detailed-placement back-end.
+// Net bounding boxes for scoring detailed-placement moves.
 //
 // Every DP move candidate asks "what is the HPWL of these nets with one or
-// a few cells displaced?". The pre-cache evaluator answered by rescanning
-// every pin of every incident net per candidate — O(sum of net degrees)
-// work that dominates the reorder/swap passes. Two structures remove it:
+// a few cells displaced?". Rescanning every pin of every incident net per
+// candidate is O(sum of net degrees) work. Two structures avoid it:
 //
 //  * NetBboxCache keeps, per net, the exact bounding box of its pins plus
 //    the *multiplicity* of pins on each boundary, updated after every
 //    committed move in O(pins of the moved cell) — with an exact per-net
-//    rescan only when a move takes away the last pin on a boundary.
-//    Un-overridden nets evaluate straight from the cached box.
-//  * NetBboxEval answers what-if queries for a fixed set of overridden
-//    cells. Establishing the set computes, once, each incident net's
-//    *complement box* — the bbox of its pins NOT on an overridden cell.
-//    Every candidate evaluation is then a pure min/max fold of the moved
-//    pins' new positions onto that box, so trying many positions for the
-//    same cell set (reorder permutations, swap candidates, ISM cost rows)
-//    costs O(pins of the moved cells) per candidate, never a rescan.
+//    rescan only when a move takes away the last pin on a boundary. It
+//    answers the "before" side of every move: a net whose pins all stay
+//    put evaluates straight from its cached box.
+//  * MoveTable holds what stays fixed while one set of cells is tried at
+//    many positions: for each net of the cells (ascending, deduplicated)
+//    its *complement box* — the bbox of its pins NOT on the moving or
+//    excluded cells — its weight and degree flag, and the moving cells'
+//    pin offsets on it. A table is built once per fixed cell set (a swap
+//    source cell, a swap candidate, a reorder window, an ISM cost row);
+//    scoring a position is then a min/max fold of the moved pins onto the
+//    complement boxes, never a rescan.
 //
-// Because min/max over doubles are exact, order-independent selections,
-// a complement box extended by the moved pins equals a full rescan
-// bit-for-bit — the cache accelerates the back-end without perturbing a
-// single result bit, which is what lets the determinism suite keep
-// EXPECT_EQ-exact HPWL across thread counts and against the pre-cache
-// evaluator.
+// Pin positions are computed as x + cellWidth/2 + pinOffset, the same
+// expression as Database::pinX/pinY, and min/max over doubles are exact,
+// order-independent selections, so a complement box extended by the moved
+// pins equals a full rescan bit-for-bit. Sums run over nets in ascending
+// order. The back-end therefore reproduces the full-scan evaluator's
+// values exactly, which is what lets the determinism suite keep
+// EXPECT_EQ-exact HPWL across thread counts.
 //
-// Counters are accumulated locally (deltas/rescans members) so hot loops
-// never touch the registry; callers flush them into dp/bbox_delta and
+// Counts are accumulated in a caller-owned BboxCounts so hot loops never
+// touch the registry; callers flush them into dp/bbox_delta and
 // dp/bbox_rescan at phase boundaries.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "db/database.h"
@@ -68,10 +71,6 @@ class NetBboxCache {
     return db.netWeight(net) * ((b.xh - b.xl) + (b.yh - b.yl));
   }
 
-  /// Sum of netHpwl over `nets`, accumulated in list order (the same
-  /// order the full-scan evaluator used, so sums agree bitwise).
-  double netsHpwl(const Database& db, const std::vector<Index>& nets) const;
-
   /// Cache-maintenance rescans performed by moveCell (boundary losses).
   std::int64_t maintenanceRescans = 0;
 
@@ -79,73 +78,96 @@ class NetBboxCache {
   void rescanNet(const Database& db, Index net);
 
   std::vector<Box> boxes_;
+  /// moveStamp_ of the moveCell call that last rescanned each net, so a
+  /// cell with several pins on one net folds none of them after a rescan.
+  std::vector<std::uint32_t> rescanStamp_;
+  std::uint32_t moveStamp_ = 0;
 };
 
-/// Candidate-move evaluator over a NetBboxCache: computes net HPWL with up
-/// to kMaxOverrides cells' positions overridden, without touching the
-/// database or the cache. Each worker of a parallel proposal phase owns
-/// one evaluator (it carries scratch and local counters).
-class NetBboxEval {
+/// Evaluation counts of one worker, flushed by its owner.
+struct BboxCounts {
+  std::int64_t deltas = 0;   ///< Net evaluations (cached box or table fold).
+  std::int64_t rescans = 0;  ///< Complement-box scans (table builds).
+};
+
+/// The fixed part of scoring one set of moving cells at many positions.
+/// Slot k is the k-th cell passed to build(). Tables hold scratch and are
+/// owned per worker.
+class MoveTable {
  public:
-  static constexpr int kMaxOverrides = 16;
+  struct Pin {
+    std::int32_t slot;  ///< Moving cell the pin belongs to.
+    Coord halfW, halfH; ///< That cell's half extents.
+    Coord offX, offY;   ///< Pin offset from the cell center.
+  };
+  struct Net {
+    Index net;
+    bool degenerate;  ///< Degree < 2: contributes 0, like the cache.
+    bool hasRest;     ///< Some pin stays put (the box is not empty).
+    double weight;
+    double xl, xh, yl, yh;  ///< Complement box (±inf when !hasRest).
+    std::int32_t pinBegin, pinEnd;  ///< Moving pins on the net in pins().
+    double ySpan;  ///< yh - yl with every pin folded in (setRowY).
+  };
 
-  NetBboxEval(const Database& db, const NetBboxCache& cache)
-      : db_(db), cache_(cache) {}
+  /// Builds the table of cells[0..count): their nets, ascending and
+  /// deduplicated, with complement boxes that exclude those cells and
+  /// also `alsoExcluded` (a swap partner; kInvalidIndex for none).
+  void build(const Database& db, const Index* cells, int count,
+             Index alsoExcluded, BboxCounts& counts);
 
-  void clearOverrides() { numOverrides_ = 0; movedDirty_ = true; }
-  void setOverride(Index cell, Coord x, Coord y);
+  const std::vector<Net>& nets() const { return nets_; }
+  const Pin* pins(const Net& n) const { return pins_.data() + n.pinBegin; }
+  const Pin* pinsEnd(const Net& n) const { return pins_.data() + n.pinEnd; }
 
-  /// Re-positions the override in slot `slot` (0-based, in setOverride
-  /// order) without changing the overridden cell set. Evaluation loops
-  /// that try many positions for a fixed cell set (reorder permutations,
-  /// ISM cost rows) use this to skip the moved-pin rebuild+sort — the
-  /// sorted structure depends only on the cells, not their positions.
-  void updateOverride(int slot, Coord x, Coord y);
+  /// Index into nets() of the i-th pin of the moving cells (cell order,
+  /// then each cell's pin order).
+  std::int32_t netOfPin(int i) const { return netOfPin_[i]; }
 
-  /// Weighted HPWL of the given nets under the current overrides. `nets`
-  /// must be sorted ascending (incident-net unions are); contributions
-  /// accumulate in list order.
-  double netsHpwl(const std::vector<Index>& nets);
+  /// Weighted HPWL of `n` with slot k's cell at (xs[k], ys[k]).
+  double netHpwl(const Net& n, const Coord* xs, const Coord* ys) const;
 
-  /// Single-net HPWL under the current overrides (ISM cost loops iterate
-  /// a cell's pins directly instead of a deduplicated union).
-  double netHpwl(Index net);
+  /// Sum over nets() in ascending order of the cached (current) HPWL —
+  /// the "before" value of any move of the table's cells.
+  double cachedHpwl(const NetBboxCache& cache, BboxCounts& counts) const;
 
-  /// Local counters, flushed by the owner at phase end. Every evaluation
-  /// is a delta (cached box or complement-box fold); `rescans` counts the
-  /// complement-box scans performed when an override set is established.
-  std::int64_t deltas = 0;
-  std::int64_t rescans = 0;
+  /// Sum of netHpwl over nets() in ascending order.
+  double sumHpwl(const Coord* xs, const Coord* ys, BboxCounts& counts) const;
+
+  /// Fixes every slot's y at `y` (cells permuted along one row) and folds
+  /// the y extents once, so sumHpwlInRow folds only x per call.
+  void setRowY(Coord y);
+  /// sumHpwl with slot k at (xs[k], the setRowY y), bit-identical to it.
+  double sumHpwlInRow(const Coord* xs, BboxCounts& counts) const;
+
+  /// Single-cell tables: the cell at (x, y), per-net values summed in the
+  /// cell's *pin* order, so a net holding two of its pins counts twice.
+  double pinOrderHpwl(Coord x, Coord y, BboxCounts& counts);
 
  private:
-  struct MovedPin {
-    Index net;
-    Index pin;
-    std::int32_t slot;  ///< Override slot this pin belongs to.
-    double newX, newY;  ///< Pin position under the override.
-  };
-  /// One net touched by the overrides: its moved pins (a range of
-  /// `moved_`) plus the bbox of its un-overridden pins, computed once per
-  /// override set and valid across updateOverride() calls.
-  struct NetGroup {
-    Index net;
-    std::int32_t begin, count;
-    double xl, xh, yl, yh;
-  };
-
-  void refreshMovedPins();
-  double evalGroup(const NetGroup& g);
-  double evalUntouched(Index net);
-
-  const Database& db_;
-  const NetBboxCache& cache_;
-  Index cells_[kMaxOverrides];
-  Coord xs_[kMaxOverrides];
-  Coord ys_[kMaxOverrides];
-  int numOverrides_ = 0;
-  bool movedDirty_ = true;
-  std::vector<MovedPin> moved_;   ///< Sorted by net.
-  std::vector<NetGroup> groups_;  ///< One per distinct net in moved_.
+  std::vector<Net> nets_;
+  std::vector<Pin> pins_;
+  std::vector<std::int32_t> netOfPin_;
+  /// Build scratch: (net, pin ordinal) pairs sorted by net.
+  std::vector<std::pair<Index, std::int32_t>> order_;
+  std::vector<Pin> unsorted_;
+  std::vector<double> values_;  ///< pinOrderHpwl per-net values.
 };
+
+/// Before/after HPWL of exchanging two cells' positions.
+struct SwapScore {
+  double before = 0.0;  ///< Over both cells' nets, from the cache.
+  double after = 0.0;   ///< The same nets with the two cells exchanged.
+};
+
+/// Scores exchanging cells a and b, where `a` is a's table (built with no
+/// partner) and `b` is b's table built with a as `alsoExcluded`; a sits
+/// at (ax, ay) and b at (bx, by). Both sums run over the union of the two
+/// cells' nets in ascending order: a net only on a folds a's pins at b's
+/// position, a net only on b folds b's pins at a's position, and a shared
+/// net folds both onto b's both-excluded box.
+SwapScore scoreSwap(const NetBboxCache& cache, const MoveTable& a,
+                    Coord ax, Coord ay, const MoveTable& b, Coord bx,
+                    Coord by, BboxCounts& counts);
 
 }  // namespace dreamplace

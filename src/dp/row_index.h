@@ -5,10 +5,17 @@
 // pack over them. Standard movable cells ("movable entries") sit in exactly
 // one row, and a cell -> (row, slot) map locates each of them in O(1), so a
 // committed move rewrites the index in place instead of searching rows.
+//
+// Each row also mirrors its entries' x, width and movable flag in slot
+// order, so a swap probe (a binary search on x plus a few neighbour reads)
+// touches only contiguous per-row arrays. An equal-width exchange leaves
+// those arrays unchanged: the two cells trade positions, so each slot's x
+// and width stay what they were.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/log.h"
@@ -19,6 +26,13 @@ namespace dreamplace {
 
 class RowIndex {
  public:
+  struct Row {
+    std::vector<Index> cells;
+    std::vector<Coord> x;       ///< cellX per slot.
+    std::vector<Coord> width;   ///< cellWidth per slot.
+    std::vector<char> movable;  ///< isMovableEntry per slot.
+  };
+
   /// Rebuilds the index from the database's current positions.
   void build(const Database& db) {
     rowHeight_ = db.rowHeight();
@@ -33,7 +47,7 @@ class RowIndex {
       // macros are obstacles spanning every row band they overlap.
       if (db.isMovable(i) && !isMovableMacro(db, i)) {
         movableEntry_[i] = 1;
-        rows_[rowOf(db.cellY(i))].push_back(i);
+        rows_[rowOf(db.cellY(i))].cells.push_back(i);
         continue;
       }
       const Box<Coord> box = db.cellBox(i);
@@ -41,25 +55,34 @@ class RowIndex {
       const Index r1 = rowOf(box.yh - 1e-9);
       for (Index r = std::max<Index>(0, r0);
            r <= std::min(num_rows - 1, r1); ++r) {
-        rows_[r].push_back(i);
+        rows_[r].cells.push_back(i);
       }
     }
     for (Index r = 0; r < num_rows; ++r) {
-      std::vector<Index>& row = rows_[r];
-      std::sort(row.begin(), row.end(), [&](Index a, Index b) {
+      Row& row = rows_[r];
+      std::sort(row.cells.begin(), row.cells.end(), [&](Index a, Index b) {
         return db.cellX(a) < db.cellX(b);
       });
-      for (std::size_t k = 0; k < row.size(); ++k) {
-        if (movableEntry_[row[k]]) {
-          cellRow_[row[k]] = r;
-          cellSlot_[row[k]] = static_cast<Index>(k);
+      row.x.resize(row.cells.size());
+      row.width.resize(row.cells.size());
+      row.movable.resize(row.cells.size());
+      for (std::size_t k = 0; k < row.cells.size(); ++k) {
+        const Index c = row.cells[k];
+        row.x[k] = db.cellX(c);
+        row.width[k] = db.cellWidth(c);
+        row.movable[k] = movableEntry_[c];
+        if (movableEntry_[c]) {
+          cellRow_[c] = r;
+          cellSlot_[c] = static_cast<Index>(k);
         }
       }
     }
   }
 
   Index numRows() const { return static_cast<Index>(rows_.size()); }
-  const std::vector<Index>& row(Index r) const { return rows_[r]; }
+  const Row& row(Index r) const { return rows_[r]; }
+  /// Row of movable entry `cell`.
+  Index rowOfCell(Index cell) const { return cellRow_[cell]; }
   bool isMovableEntry(Index cell) const { return movableEntry_[cell] != 0; }
 
   /// Row band containing y (clamped to the die's rows).
@@ -68,27 +91,34 @@ class RowIndex {
     return std::clamp<Index>(r, 0, numRows() - 1);
   }
 
-  /// Puts movable entry `cell` into slot `k` of row `r` (a reorder commit
-  /// permutes a window's cells among the window's own slots).
-  void place(Index r, std::size_t k, Index cell) {
+  /// Puts movable entry `cell`, already moved in `db`, into slot `k` of
+  /// row `r` (a reorder commit permutes a window's cells among the
+  /// window's own slots).
+  void place(const Database& db, Index r, std::size_t k, Index cell) {
     DP_ASSERT(isMovableEntry(cell));
-    rows_[r][k] = cell;
+    Row& row = rows_[r];
+    row.cells[k] = cell;
+    row.x[k] = db.cellX(cell);
+    row.width[k] = db.cellWidth(cell);
     cellRow_[cell] = r;
     cellSlot_[cell] = static_cast<Index>(k);
   }
 
-  /// Exchanges the slots of movable entries `a` and `b` (a committed swap
-  /// of two equal-width cells' positions), in the same row or not.
+  /// Exchanges the slots of equal-width movable entries `a` and `b` (a
+  /// committed swap of their positions), in the same row or not.
   void exchange(Index a, Index b) {
     DP_ASSERT(isMovableEntry(a) && isMovableEntry(b));
     const Index ra = cellRow_[a], sa = cellSlot_[a];
     const Index rb = cellRow_[b], sb = cellSlot_[b];
-    place(rb, sb, a);
-    place(ra, sa, b);
+    DP_ASSERT(rows_[ra].width[sa] == rows_[rb].width[sb]);
+    rows_[ra].cells[sa] = b;
+    rows_[rb].cells[sb] = a;
+    std::swap(cellRow_[a], cellRow_[b]);
+    std::swap(cellSlot_[a], cellSlot_[b]);
   }
 
  private:
-  std::vector<std::vector<Index>> rows_;
+  std::vector<Row> rows_;
   std::vector<char> movableEntry_;  ///< Per cell: participates in DP moves.
   std::vector<Index> cellRow_;      ///< Movable entries: row, else invalid.
   std::vector<Index> cellSlot_;     ///< Movable entries: slot in its row.

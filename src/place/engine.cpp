@@ -94,14 +94,6 @@ bool isOrderDependentCounter(std::string_view key) {
   if (key.substr(0, 7) == "health/" || key.substr(0, 8) == "metrics/") {
     return true;
   }
-  // Back-end bbox-cache traffic and staleness depend on thread count: the
-  // parallel swap propose+commit scheme evaluates speculative proposals
-  // (and re-evaluates stale ones) that the serial path never computes, so
-  // these tallies vary with pool size even though every placement result
-  // is bit-identical.
-  if (key.substr(0, 8) == "dp/bbox_" || key == "dp/swap_stale") {
-    return true;
-  }
   // Pool scheduling: who started the workers, how blocks were claimed,
   // whether a second run() caller hit the occupied job slot.
   return key == "parallel/steals" || key == "parallel/pool_start" ||

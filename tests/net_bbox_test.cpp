@@ -1,17 +1,24 @@
-// Unit tests for the incremental net-bbox cache (dp/net_bbox.h): every
-// value the cache or its override evaluator produces must equal a full
-// rescan bit-for-bit (EXPECT_EQ on doubles, no tolerance) — that is the
-// property that lets the parallel DP back-end replace the full-scan
-// evaluator without perturbing any placement result.
+// Unit tests for the DP net-bbox layer (dp/net_bbox.h): every value the
+// cache or a move table produces must equal a full rescan bit-for-bit
+// (EXPECT_EQ on doubles, no tolerance) — that is the property that lets
+// the DP back-end score candidates from tables without perturbing any
+// placement result. Sums are compared against brute-force values added in
+// the order the placer adds them: ascending net order for swaps and
+// reorder windows, the cell's pin order for ISM cost entries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "db/metrics.h"
 #include "dp/net_bbox.h"
+#include "dp/row_index.h"
 #include "gen/netlist_generator.h"
+#include "lg/abacus_legalizer.h"
 
 namespace dreamplace {
 namespace {
@@ -23,6 +30,52 @@ std::unique_ptr<Database> synthDesign(std::uint64_t seed, Index cells = 300) {
   cfg.utilization = 0.7;
   cfg.seed = seed;
   return generateNetlist(cfg);
+}
+
+/// A legalized copy of a synthetic design with extra nets that the
+/// generator does not make: nets holding two pins of one movable cell and
+/// single-pin nets. Cells keep their indices.
+std::unique_ptr<Database> legalizedWithSharedPins(std::uint64_t seed) {
+  auto src = synthDesign(seed);
+  auto db = std::make_unique<Database>();
+  for (Index c = 0; c < src->numCells(); ++c) {
+    db->addCell(src->cellName(c), src->cellWidth(c), src->cellHeight(c),
+                src->isMovable(c));
+  }
+  for (Index e = 0; e < src->numNets(); ++e) {
+    db->addNet(src->netName(e), src->netWeight(e));
+    for (Index p = src->netPinBegin(e); p < src->netPinEnd(e); ++p) {
+      db->addPin(e, src->pinCell(p), src->pinOffsetX(p), src->pinOffsetY(p));
+    }
+  }
+  Rng rng(seed + 7);
+  const auto movable = static_cast<std::uint32_t>(src->numMovable());
+  for (int k = 0; k < 40; ++k) {
+    const Index net = db->addNet("shared" + std::to_string(k), 1.0 + k % 3);
+    const auto cell = static_cast<Index>(rng.uniformInt(movable));
+    const Coord hw = src->cellWidth(cell) / 2;
+    db->addPin(net, cell, -hw / 2, 1.0);
+    db->addPin(net, cell, hw / 2, -1.0);
+    const int others = static_cast<int>(rng.uniformInt(3));
+    for (int i = 0; i < others; ++i) {
+      db->addPin(net, static_cast<Index>(rng.uniformInt(movable)), 0.0, 0.0);
+    }
+  }
+  for (int k = 0; k < 10; ++k) {
+    const Index net = db->addNet("single" + std::to_string(k));
+    db->addPin(net, static_cast<Index>(rng.uniformInt(movable)), 0.0, 0.0);
+  }
+  db->setDieArea(src->dieArea());
+  for (const Row& row : src->rows()) {
+    db->addRow(row);
+  }
+  for (Index c = 0; c < src->numCells(); ++c) {
+    db->setCellPosition(c, src->cellX(c), src->cellY(c));
+  }
+  db->finalize();
+  AbacusLegalizer().run(*db);
+  EXPECT_TRUE(checkLegality(*db).legal);
+  return db;
 }
 
 /// Brute-force reference: weighted HPWL of `net` with the given cells'
@@ -55,6 +108,46 @@ double scanNetHpwl(const Database& db, Index net,
     yh = std::max(yh, py);
   }
   return db.netWeight(net) * ((xh - xl) + (yh - yl));
+}
+
+/// Ascending, deduplicated union of the nets of `cells`.
+std::vector<Index> netUnion(const Database& db,
+                            const std::vector<Index>& cells) {
+  std::vector<Index> nets;
+  for (const Index c : cells) {
+    for (Index s = db.cellPinBegin(c); s < db.cellPinEnd(c); ++s) {
+      nets.push_back(db.pinNet(db.cellPinAt(s)));
+    }
+  }
+  std::sort(nets.begin(), nets.end());
+  nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
+  return nets;
+}
+
+/// Brute-force sum over `nets` in list order.
+double scanSum(const Database& db, const std::vector<Index>& nets,
+               const std::vector<Index>& ovCells,
+               const std::vector<Coord>& ovX, const std::vector<Coord>& ovY) {
+  double total = 0.0;
+  for (const Index e : nets) {
+    total += scanNetHpwl(db, e, ovCells, ovX, ovY);
+  }
+  return total;
+}
+
+/// Moves random movable cells by a few rows, keeping `cache` in lockstep
+/// (committed moves, as DP makes them between scoring calls).
+void randomCommittedMoves(Database& db, NetBboxCache& cache, Rng& rng,
+                          int count) {
+  const Coord h = db.rowHeight();
+  for (int step = 0; step < count; ++step) {
+    const auto cell = static_cast<Index>(rng.uniformInt(db.numMovable()));
+    const Coord old_x = db.cellX(cell);
+    const Coord old_y = db.cellY(cell);
+    db.setCellPosition(cell, old_x + rng.uniform(-4 * h, 4 * h),
+                       old_y + rng.uniform(-4 * h, 4 * h));
+    cache.moveCell(db, cell, old_x, old_y);
+  }
 }
 
 TEST(NetBboxCacheTest, TracksRandomMoveSequenceExactly) {
@@ -90,18 +183,35 @@ TEST(NetBboxCacheTest, TracksRandomMoveSequenceExactly) {
   EXPECT_GT(cache.maintenanceRescans, 0);
 }
 
-TEST(NetBboxEvalTest, OverridesMatchBruteForce) {
+TEST(NetBboxCacheTest, TracksCellsWithSeveralPinsOnOneNet) {
+  // A move whose first pin on a net forces a rescan must not fold the
+  // cell's later pins on that net a second time.
+  for (const std::uint64_t seed : {17, 43, 59}) {
+    auto db = legalizedWithSharedPins(seed);
+    NetBboxCache cache;
+    cache.build(*db);
+    Rng rng(seed + 1);
+    randomCommittedMoves(*db, cache, rng, 300);
+    for (Index e = 0; e < db->numNets(); ++e) {
+      EXPECT_EQ(cache.netHpwl(*db, e), scanNetHpwl(*db, e, {}, {}, {}))
+          << "net " << e << " seed " << seed;
+    }
+  }
+}
+
+TEST(MoveTableTest, FoldsMatchBruteForce) {
   auto db = synthDesign(23);
   NetBboxCache cache;
   cache.build(*db);
-  NetBboxEval eval(*db, cache);
-
   Rng rng(3);
+  randomCommittedMoves(*db, cache, rng, 200);
+
+  MoveTable table;
+  BboxCounts counts;
   const Coord h = db->rowHeight();
   std::vector<Index> cells;
   std::vector<Coord> xs, ys;
   for (int trial = 0; trial < 200; ++trial) {
-    eval.clearOverrides();
     cells.clear();
     xs.clear();
     ys.clear();
@@ -111,91 +221,241 @@ TEST(NetBboxEvalTest, OverridesMatchBruteForce) {
       if (std::find(cells.begin(), cells.end(), c) != cells.end()) {
         continue;
       }
-      const Coord nx = db->cellX(c) + rng.uniform(-6 * h, 6 * h);
-      const Coord ny = db->cellY(c) + rng.uniform(-6 * h, 6 * h);
-      eval.setOverride(c, nx, ny);
       cells.push_back(c);
-      xs.push_back(nx);
-      ys.push_back(ny);
+      xs.push_back(db->cellX(c) + rng.uniform(-6 * h, 6 * h));
+      ys.push_back(db->cellY(c) + rng.uniform(-6 * h, 6 * h));
     }
-    // Every net touched by an override, plus a random (likely untouched)
-    // net, must match the brute-force scan exactly.
-    for (const Index c : cells) {
-      for (Index s = db->cellPinBegin(c); s < db->cellPinEnd(c); ++s) {
-        const Index e = db->pinNet(db->cellPinAt(s));
-        ASSERT_EQ(eval.netHpwl(e), scanNetHpwl(*db, e, cells, xs, ys))
-            << "net " << e << " trial " << trial;
-      }
+    table.build(*db, cells.data(), static_cast<int>(cells.size()),
+                kInvalidIndex, counts);
+    // The table lists exactly the cells' net union, ascending.
+    const std::vector<Index> nets = netUnion(*db, cells);
+    ASSERT_EQ(table.nets().size(), nets.size());
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+      const MoveTable::Net& n = table.nets()[i];
+      ASSERT_EQ(n.net, nets[i]);
+      ASSERT_EQ(table.netHpwl(n, xs.data(), ys.data()),
+                scanNetHpwl(*db, n.net, cells, xs, ys))
+          << "net " << n.net << " trial " << trial;
     }
-    const auto e = static_cast<Index>(rng.uniformInt(db->numNets()));
-    ASSERT_EQ(eval.netHpwl(e), scanNetHpwl(*db, e, cells, xs, ys))
-        << "net " << e << " trial " << trial;
   }
-  EXPECT_GT(eval.deltas, 0);
+  EXPECT_GT(counts.rescans, 0);
 }
 
-TEST(NetBboxEvalTest, UpdateOverrideMatchesFreshOverrides) {
-  // The slot-repositioning fast path (no moved-pin rebuild) must produce
-  // the same values as tearing down and re-establishing the overrides.
+TEST(MoveTableTest, ReusedTableMatchesFreshTable) {
+  // One table scores many positions of a fixed cell set; each score must
+  // equal a table built fresh for it and the brute-force scan.
   auto db = synthDesign(41);
   NetBboxCache cache;
   cache.build(*db);
-  NetBboxEval fast(*db, cache);
-  NetBboxEval fresh(*db, cache);
-
-  const Index a = 3;
-  const Index b = static_cast<Index>(db->numMovable() - 5);
-  std::vector<Index> nets;
-  for (const Index c : {a, b}) {
-    for (Index s = db->cellPinBegin(c); s < db->cellPinEnd(c); ++s) {
-      nets.push_back(db->pinNet(db->cellPinAt(s)));
-    }
-  }
-  std::sort(nets.begin(), nets.end());
-  nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
-
-  fast.setOverride(a, db->cellX(a), db->cellY(a));
-  fast.setOverride(b, db->cellX(b), db->cellY(b));
+  const std::vector<Index> cells = {3, static_cast<Index>(
+                                           db->numMovable() - 5)};
+  const std::vector<Index> nets = netUnion(*db, cells);
+  MoveTable reused, fresh;
+  BboxCounts counts;
+  reused.build(*db, cells.data(), 2, kInvalidIndex, counts);
   Rng rng(5);
   const Coord h = db->rowHeight();
   for (int trial = 0; trial < 100; ++trial) {
-    const Coord ax = db->cellX(a) + rng.uniform(-6 * h, 6 * h);
-    const Coord ay = db->cellY(a) + rng.uniform(-6 * h, 6 * h);
-    const Coord bx = db->cellX(b) + rng.uniform(-6 * h, 6 * h);
-    const Coord by = db->cellY(b) + rng.uniform(-6 * h, 6 * h);
-    fast.updateOverride(0, ax, ay);
-    fast.updateOverride(1, bx, by);
-    fresh.clearOverrides();
-    fresh.setOverride(a, ax, ay);
-    fresh.setOverride(b, bx, by);
-    ASSERT_EQ(fast.netsHpwl(nets), fresh.netsHpwl(nets)) << "trial " << trial;
+    std::vector<Coord> xs, ys;
+    for (const Index c : cells) {
+      xs.push_back(db->cellX(c) + rng.uniform(-6 * h, 6 * h));
+      ys.push_back(db->cellY(c) + rng.uniform(-6 * h, 6 * h));
+    }
+    fresh.build(*db, cells.data(), 2, kInvalidIndex, counts);
+    const double value = reused.sumHpwl(xs.data(), ys.data(), counts);
+    ASSERT_EQ(value, fresh.sumHpwl(xs.data(), ys.data(), counts))
+        << "trial " << trial;
+    ASSERT_EQ(value, scanSum(*db, nets, cells, xs, ys)) << "trial " << trial;
   }
 }
 
-TEST(NetBboxEvalTest, NetsHpwlAccumulatesInListOrder) {
+TEST(MoveTableTest, SumsAccumulateInAscendingNetOrder) {
   auto db = synthDesign(31, 200);
   NetBboxCache cache;
   cache.build(*db);
-  NetBboxEval eval(*db, cache);
-
   const auto cell = static_cast<Index>(db->numMovable() / 2);
-  eval.setOverride(cell, db->cellX(cell) + 3 * db->rowHeight(),
-                   db->cellY(cell));
+  const std::vector<Coord> xs = {db->cellX(cell) + 3 * db->rowHeight()};
+  const std::vector<Coord> ys = {db->cellY(cell)};
+  MoveTable table;
+  BboxCounts counts;
+  table.build(*db, &cell, 1, kInvalidIndex, counts);
+  const std::vector<Index> nets = netUnion(*db, {cell});
+  EXPECT_EQ(table.sumHpwl(xs.data(), ys.data(), counts),
+            scanSum(*db, nets, {cell}, xs, ys));
+  EXPECT_EQ(table.cachedHpwl(cache, counts), scanSum(*db, nets, {}, {}, {}));
+  EXPECT_GT(counts.deltas, 0);
+}
 
-  std::vector<Index> nets;
-  for (Index s = db->cellPinBegin(cell); s < db->cellPinEnd(cell); ++s) {
-    nets.push_back(db->pinNet(db->cellPinAt(s)));
-  }
-  std::sort(nets.begin(), nets.end());
-  nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
+/// Checks scoreSwap for exchanging a and b against brute force.
+void expectSwapMatches(const Database& db, const NetBboxCache& cache,
+                       Index a, Index b) {
+  MoveTable ta, tb;
+  BboxCounts counts;
+  ta.build(db, &a, 1, kInvalidIndex, counts);
+  tb.build(db, &b, 1, a, counts);
+  const SwapScore score = scoreSwap(cache, ta, db.cellX(a), db.cellY(a), tb,
+                                    db.cellX(b), db.cellY(b), counts);
+  const std::vector<Index> nets = netUnion(db, {a, b});
+  EXPECT_EQ(score.before, scanSum(db, nets, {}, {}, {}))
+      << "cells " << a << ", " << b;
+  EXPECT_EQ(score.after,
+            scanSum(db, nets, {a, b}, {db.cellX(b), db.cellX(a)},
+                    {db.cellY(b), db.cellY(a)}))
+      << "cells " << a << ", " << b;
+}
 
-  double expected = 0.0;
-  for (const Index e : nets) {
-    expected += scanNetHpwl(*db, e, {cell},
-                            {db->cellX(cell) + 3 * db->rowHeight()},
-                            {db->cellY(cell)});
+TEST(MoveTableTest, SwapScoresMatchBruteForce) {
+  auto db = legalizedWithSharedPins(17);
+  NetBboxCache cache;
+  cache.build(*db);
+  Rng rng(13);
+  randomCommittedMoves(*db, cache, rng, 100);
+  RowIndex rows;
+  rows.build(*db);
+
+  int same_row = 0, cross_row = 0, shared = 0;
+  // Same-row pairs: neighbours and far cells of each row.
+  for (Index r = 0; r < rows.numRows(); ++r) {
+    std::vector<Index> movable;
+    for (const Index c : rows.row(r).cells) {
+      if (rows.isMovableEntry(c)) {
+        movable.push_back(c);
+      }
+    }
+    for (std::size_t i = 1; i < movable.size(); i += 3) {
+      expectSwapMatches(*db, cache, movable[i - 1], movable[i]);
+      expectSwapMatches(*db, cache, movable[i], movable.front());
+      same_row += 2;
+    }
   }
-  EXPECT_EQ(eval.netsHpwl(nets), expected);
+  // Cross-row pairs.
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto a = static_cast<Index>(rng.uniformInt(db->numMovable()));
+    const auto b = static_cast<Index>(rng.uniformInt(db->numMovable()));
+    if (a != b && db->cellY(a) != db->cellY(b)) {
+      expectSwapMatches(*db, cache, a, b);
+      ++cross_row;
+    }
+  }
+  // Pairs sharing a net, in both roles.
+  for (Index e = 0; e < db->numNets(); ++e) {
+    const Index p0 = db->netPinBegin(e);
+    for (Index p = p0 + 1; p < db->netPinEnd(e); ++p) {
+      const Index a = db->pinCell(p0);
+      const Index b = db->pinCell(p);
+      if (a != b && db->isMovable(a) && db->isMovable(b)) {
+        expectSwapMatches(*db, cache, a, b);
+        expectSwapMatches(*db, cache, b, a);
+        ++shared;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(same_row, 20);
+  EXPECT_GT(cross_row, 100);
+  EXPECT_GT(shared, 50);
+}
+
+TEST(MoveTableTest, WindowPermutationCostsMatchBruteForce) {
+  auto db = legalizedWithSharedPins(29);
+  NetBboxCache cache;
+  cache.build(*db);
+  Rng rng(19);
+  randomCommittedMoves(*db, cache, rng, 50);
+  // Re-legalize so rows are clean again; the cache follows a rebuild.
+  AbacusLegalizer().run(*db);
+  cache.build(*db);
+  RowIndex rows;
+  rows.build(*db);
+
+  MoveTable table;
+  BboxCounts counts;
+  int windows = 0;
+  for (const int w : {3, 4}) {
+    for (Index r = 0; r < rows.numRows(); r += 2) {
+      const RowIndex::Row& row = rows.row(r);
+      for (std::size_t start = 0; start + w <= row.cells.size();
+           start += w) {
+        std::vector<Index> cells(row.cells.begin() + start,
+                                 row.cells.begin() + start + w);
+        if (!std::all_of(cells.begin(), cells.end(), [&](Index c) {
+              return rows.isMovableEntry(c);
+            })) {
+          continue;
+        }
+        table.build(*db, cells.data(), w, kInvalidIndex, counts);
+        const std::vector<Index> nets = netUnion(*db, cells);
+        ASSERT_EQ(table.cachedHpwl(cache, counts),
+                  scanSum(*db, nets, {}, {}, {}));
+        const Coord y = db->cellY(cells[0]);
+        table.setRowY(y);
+        std::vector<int> perm(w);
+        std::iota(perm.begin(), perm.end(), 0);
+        std::vector<Coord> xs(w), ys(w, y);
+        do {
+          Coord x = row.x[start];
+          for (int k = 0; k < w; ++k) {
+            xs[perm[k]] = x;
+            x += db->cellWidth(cells[perm[k]]);
+          }
+          const double expected = scanSum(*db, nets, cells, xs, ys);
+          ASSERT_EQ(table.sumHpwlInRow(xs.data(), counts), expected);
+          ASSERT_EQ(table.sumHpwl(xs.data(), ys.data(), counts), expected);
+        } while (std::next_permutation(perm.begin(), perm.end()));
+        ++windows;
+      }
+    }
+  }
+  EXPECT_GT(windows, 20);
+}
+
+TEST(MoveTableTest, IsmCostEntriesMatchBruteForce) {
+  auto db = legalizedWithSharedPins(37);
+  NetBboxCache cache;
+  cache.build(*db);
+  Rng rng(23);
+  randomCommittedMoves(*db, cache, rng, 100);
+
+  // Cells with two pins on one net lead every set.
+  std::vector<Index> doubled;
+  for (Index c = 0; c < db->numMovable(); ++c) {
+    const auto num_pins =
+        static_cast<std::size_t>(db->cellPinEnd(c) - db->cellPinBegin(c));
+    if (netUnion(*db, {c}).size() < num_pins) {
+      doubled.push_back(c);
+    }
+  }
+  ASSERT_FALSE(doubled.empty());
+
+  MoveTable table;
+  BboxCounts counts;
+  int double_pin_rows = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<Index> set = {doubled[trial % doubled.size()]};
+    for (int i = 1; i < 8; ++i) {
+      set.push_back(static_cast<Index>(rng.uniformInt(db->numMovable())));
+    }
+    for (const Index cell : set) {
+      table.build(*db, &cell, 1, kInvalidIndex, counts);
+      double_pin_rows +=
+          std::find(doubled.begin(), doubled.end(), cell) != doubled.end();
+      for (const Index slot : set) {
+        const std::vector<Coord> xs = {db->cellX(slot)};
+        const std::vector<Coord> ys = {db->cellY(slot)};
+        // The cell's pins in pin order: a net holding two of them counts
+        // twice.
+        double expected = 0.0;
+        for (Index s = db->cellPinBegin(cell); s < db->cellPinEnd(cell);
+             ++s) {
+          expected +=
+              scanNetHpwl(*db, db->pinNet(db->cellPinAt(s)), {cell}, xs, ys);
+        }
+        ASSERT_EQ(table.pinOrderHpwl(xs[0], ys[0], counts), expected)
+            << "cell " << cell << " at slot of " << slot;
+      }
+    }
+  }
+  EXPECT_GE(double_pin_rows, 60);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit tests for the DP row index (dp/row_index.h): after any committed
-// exchange every row must stay sorted by x and list each movable cell
-// exactly once.
+// exchange every row must stay sorted by x, list each movable cell exactly
+// once, and mirror its cells' x and width.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -35,15 +35,20 @@ std::unique_ptr<Database> legalizedDesign(std::uint64_t seed) {
 void expectConsistent(const Database& db, const RowIndex& rows) {
   std::vector<int> seen(db.numCells(), 0);
   for (Index r = 0; r < rows.numRows(); ++r) {
-    const std::vector<Index>& row = rows.row(r);
-    for (std::size_t k = 0; k < row.size(); ++k) {
+    const RowIndex::Row& row = rows.row(r);
+    for (std::size_t k = 0; k < row.cells.size(); ++k) {
+      const Index c = row.cells[k];
       if (k > 0) {
-        EXPECT_LE(db.cellX(row[k - 1]), db.cellX(row[k]))
+        EXPECT_LE(db.cellX(row.cells[k - 1]), db.cellX(c))
             << "row " << r << " unsorted at slot " << k;
       }
-      if (rows.isMovableEntry(row[k])) {
-        ++seen[row[k]];
-        EXPECT_EQ(rows.rowOf(db.cellY(row[k])), r) << "cell " << row[k];
+      EXPECT_EQ(row.x[k], db.cellX(c)) << "cell " << c;
+      EXPECT_EQ(row.width[k], db.cellWidth(c)) << "cell " << c;
+      EXPECT_EQ(row.movable[k] != 0, rows.isMovableEntry(c)) << "cell " << c;
+      if (rows.isMovableEntry(c)) {
+        ++seen[c];
+        EXPECT_EQ(rows.rowOf(db.cellY(c)), r) << "cell " << c;
+        EXPECT_EQ(rows.rowOfCell(c), r) << "cell " << c;
       }
     }
   }
@@ -54,8 +59,8 @@ void expectConsistent(const Database& db, const RowIndex& rows) {
   }
 }
 
-/// Swaps the positions of `a` and `b` in the database and the index, as a
-/// committed global swap does.
+/// Swaps the positions of equal-width cells `a` and `b` in the database
+/// and the index, as a committed global swap does.
 void swapCells(Database& db, RowIndex& rows, Index a, Index b) {
   const Coord ax = db.cellX(a), ay = db.cellY(a);
   db.setCellPosition(a, db.cellX(b), db.cellY(b));
@@ -69,26 +74,22 @@ TEST(RowIndexTest, ExchangeWithinOneRowKeepsRowSortedAndComplete) {
   rows.build(*db);
   expectConsistent(*db, rows);
 
-  // Two movable cells several slots apart in the fullest row.
-  Index best = 0;
-  for (Index r = 1; r < rows.numRows(); ++r) {
-    if (rows.row(r).size() > rows.row(best).size()) {
-      best = r;
+  // Pairs of equal-width movable cells, several slots apart, in every row.
+  int swaps = 0;
+  for (Index r = 0; r < rows.numRows(); ++r) {
+    const std::vector<Index> cells = rows.row(r).cells;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      for (std::size_t j = i + 2; j < cells.size(); ++j) {
+        if (rows.isMovableEntry(cells[i]) && rows.isMovableEntry(cells[j]) &&
+            db->cellWidth(cells[i]) == db->cellWidth(cells[j])) {
+          swapCells(*db, rows, cells[i], cells[j]);
+          ++swaps;
+          break;
+        }
+      }
     }
   }
-  std::vector<Index> movable;
-  for (const Index c : rows.row(best)) {
-    if (rows.isMovableEntry(c)) {
-      movable.push_back(c);
-    }
-  }
-  ASSERT_GE(movable.size(), 4u);
-  swapCells(*db, rows, movable[0], movable[3]);
-  expectConsistent(*db, rows);
-  swapCells(*db, rows, movable[1], movable[2]);
-  expectConsistent(*db, rows);
-  // Exchanging back restores the original order.
-  swapCells(*db, rows, movable[3], movable[0]);
+  EXPECT_GT(swaps, 10);
   expectConsistent(*db, rows);
 }
 
@@ -98,14 +99,18 @@ TEST(RowIndexTest, ExchangeAcrossRowsKeepsRowsSortedAndComplete) {
   rows.build(*db);
 
   Rng rng(3);
-  for (int step = 0; step < 200; ++step) {
+  int swaps = 0;
+  for (int step = 0; step < 2000; ++step) {
     const auto a = static_cast<Index>(rng.uniformInt(db->numMovable()));
     const auto b = static_cast<Index>(rng.uniformInt(db->numMovable()));
-    if (a == b || !rows.isMovableEntry(a) || !rows.isMovableEntry(b)) {
+    if (a == b || !rows.isMovableEntry(a) || !rows.isMovableEntry(b) ||
+        db->cellWidth(a) != db->cellWidth(b)) {
       continue;
     }
     swapCells(*db, rows, a, b);
+    ++swaps;
   }
+  EXPECT_GT(swaps, 10);
   expectConsistent(*db, rows);
 }
 
