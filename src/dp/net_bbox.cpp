@@ -179,23 +179,6 @@ inline void foldPins(double& xl, double& xh, double& yl, double& yh,
 
 }  // namespace
 
-double MoveTable::netHpwl(const Net& n, const Coord* xs,
-                          const Coord* ys) const {
-  if (n.degenerate) {
-    return 0.0;
-  }
-  double xl = n.xl, xh = n.xh, yl = n.yl, yh = n.yh;
-  for (const Pin* p = pins(n); p < pinsEnd(n); ++p) {
-    const double px = xs[p->slot] + p->halfW + p->offX;
-    const double py = ys[p->slot] + p->halfH + p->offY;
-    xl = std::min(xl, px);
-    xh = std::max(xh, px);
-    yl = std::min(yl, py);
-    yh = std::max(yh, py);
-  }
-  return n.weight * ((xh - xl) + (yh - yl));
-}
-
 double MoveTable::cachedHpwl(const NetBboxCache& cache,
                              BboxCounts& counts) const {
   double total = 0.0;
@@ -207,16 +190,6 @@ double MoveTable::cachedHpwl(const NetBboxCache& cache,
     const NetBboxCache::Box& b = cache.box(n.net);
     total += n.weight * ((b.xh - b.xl) + (b.yh - b.yl));
     ++counts.deltas;
-  }
-  return total;
-}
-
-double MoveTable::sumHpwl(const Coord* xs, const Coord* ys,
-                          BboxCounts& counts) const {
-  double total = 0.0;
-  for (const Net& n : nets_) {
-    total += netHpwl(n, xs, ys);
-    counts.deltas += !n.degenerate;
   }
   return total;
 }

@@ -84,15 +84,15 @@ class NetBboxCache {
   std::uint32_t moveStamp_ = 0;
 };
 
-/// Evaluation counts of one worker, flushed by its owner.
+/// Evaluation counts, flushed by their owner into the counter registry.
 struct BboxCounts {
   std::int64_t deltas = 0;   ///< Net evaluations (cached box or table fold).
   std::int64_t rescans = 0;  ///< Complement-box scans (table builds).
 };
 
 /// The fixed part of scoring one set of moving cells at many positions.
-/// Slot k is the k-th cell passed to build(). Tables hold scratch and are
-/// owned per worker.
+/// Slot k is the k-th cell passed to build(). A table keeps its storage
+/// across builds, so rebuilding it allocates nothing once warm.
 class MoveTable {
  public:
   struct Pin {
@@ -124,20 +124,15 @@ class MoveTable {
   /// then each cell's pin order).
   std::int32_t netOfPin(int i) const { return netOfPin_[i]; }
 
-  /// Weighted HPWL of `n` with slot k's cell at (xs[k], ys[k]).
-  double netHpwl(const Net& n, const Coord* xs, const Coord* ys) const;
-
   /// Sum over nets() in ascending order of the cached (current) HPWL —
   /// the "before" value of any move of the table's cells.
   double cachedHpwl(const NetBboxCache& cache, BboxCounts& counts) const;
 
-  /// Sum of netHpwl over nets() in ascending order.
-  double sumHpwl(const Coord* xs, const Coord* ys, BboxCounts& counts) const;
-
   /// Fixes every slot's y at `y` (cells permuted along one row) and folds
-  /// the y extents once, so sumHpwlInRow folds only x per call.
+  /// the nets' y extents once, so sumHpwlInRow folds only x per call.
   void setRowY(Coord y);
-  /// sumHpwl with slot k at (xs[k], the setRowY y), bit-identical to it.
+  /// Sum over nets() in ascending order of the weighted HPWL with slot k's
+  /// cell at (xs[k], the setRowY y).
   double sumHpwlInRow(const Coord* xs, BboxCounts& counts) const;
 
   /// Single-cell tables: the cell at (x, y), per-net values summed in the

@@ -214,7 +214,6 @@ TEST(MoveTableTest, FoldsMatchBruteForce) {
   for (int trial = 0; trial < 200; ++trial) {
     cells.clear();
     xs.clear();
-    ys.clear();
     const int k = 1 + static_cast<int>(rng.uniformInt(3));
     for (int i = 0; i < k; ++i) {
       const auto c = static_cast<Index>(rng.uniformInt(db->numMovable()));
@@ -223,20 +222,41 @@ TEST(MoveTableTest, FoldsMatchBruteForce) {
       }
       cells.push_back(c);
       xs.push_back(db->cellX(c) + rng.uniform(-6 * h, 6 * h));
-      ys.push_back(db->cellY(c) + rng.uniform(-6 * h, 6 * h));
     }
+    const Coord y = db->cellY(cells[0]) + rng.uniform(-6 * h, 6 * h);
+    ys.assign(cells.size(), y);
     table.build(*db, cells.data(), static_cast<int>(cells.size()),
                 kInvalidIndex, counts);
-    // The table lists exactly the cells' net union, ascending.
+    // The table lists exactly the cells' net union, ascending, each with
+    // the bbox of the pins that are not on the cells.
     const std::vector<Index> nets = netUnion(*db, cells);
     ASSERT_EQ(table.nets().size(), nets.size());
     for (std::size_t i = 0; i < nets.size(); ++i) {
       const MoveTable::Net& n = table.nets()[i];
       ASSERT_EQ(n.net, nets[i]);
-      ASSERT_EQ(table.netHpwl(n, xs.data(), ys.data()),
-                scanNetHpwl(*db, n.net, cells, xs, ys))
-          << "net " << n.net << " trial " << trial;
+      double xl = std::numeric_limits<double>::infinity();
+      double xh = -xl, yl = xl, yh = -xl;
+      bool rest = false;
+      for (Index p = db->netPinBegin(n.net); p < db->netPinEnd(n.net); ++p) {
+        if (std::find(cells.begin(), cells.end(), db->pinCell(p)) ==
+            cells.end()) {
+          rest = true;
+          xl = std::min(xl, db->pinX(p));
+          xh = std::max(xh, db->pinX(p));
+          yl = std::min(yl, db->pinY(p));
+          yh = std::max(yh, db->pinY(p));
+        }
+      }
+      ASSERT_EQ(n.hasRest, rest) << "net " << n.net;
+      ASSERT_EQ(n.xl, xl) << "net " << n.net;
+      ASSERT_EQ(n.xh, xh) << "net " << n.net;
+      ASSERT_EQ(n.yl, yl) << "net " << n.net;
+      ASSERT_EQ(n.yh, yh) << "net " << n.net;
     }
+    table.setRowY(y);
+    ASSERT_EQ(table.sumHpwlInRow(xs.data(), counts),
+              scanSum(*db, nets, cells, xs, ys))
+        << "trial " << trial;
   }
   EXPECT_GT(counts.rescans, 0);
 }
@@ -256,14 +276,17 @@ TEST(MoveTableTest, ReusedTableMatchesFreshTable) {
   Rng rng(5);
   const Coord h = db->rowHeight();
   for (int trial = 0; trial < 100; ++trial) {
-    std::vector<Coord> xs, ys;
+    std::vector<Coord> xs;
     for (const Index c : cells) {
       xs.push_back(db->cellX(c) + rng.uniform(-6 * h, 6 * h));
-      ys.push_back(db->cellY(c) + rng.uniform(-6 * h, 6 * h));
     }
+    const Coord y = db->cellY(cells[0]) + rng.uniform(-6 * h, 6 * h);
+    const std::vector<Coord> ys(cells.size(), y);
+    reused.setRowY(y);
     fresh.build(*db, cells.data(), 2, kInvalidIndex, counts);
-    const double value = reused.sumHpwl(xs.data(), ys.data(), counts);
-    ASSERT_EQ(value, fresh.sumHpwl(xs.data(), ys.data(), counts))
+    fresh.setRowY(y);
+    const double value = reused.sumHpwlInRow(xs.data(), counts);
+    ASSERT_EQ(value, fresh.sumHpwlInRow(xs.data(), counts))
         << "trial " << trial;
     ASSERT_EQ(value, scanSum(*db, nets, cells, xs, ys)) << "trial " << trial;
   }
@@ -280,7 +303,8 @@ TEST(MoveTableTest, SumsAccumulateInAscendingNetOrder) {
   BboxCounts counts;
   table.build(*db, &cell, 1, kInvalidIndex, counts);
   const std::vector<Index> nets = netUnion(*db, {cell});
-  EXPECT_EQ(table.sumHpwl(xs.data(), ys.data(), counts),
+  table.setRowY(ys[0]);
+  EXPECT_EQ(table.sumHpwlInRow(xs.data(), counts),
             scanSum(*db, nets, {cell}, xs, ys));
   EXPECT_EQ(table.cachedHpwl(cache, counts), scanSum(*db, nets, {}, {}, {}));
   EXPECT_GT(counts.deltas, 0);
@@ -400,7 +424,6 @@ TEST(MoveTableTest, WindowPermutationCostsMatchBruteForce) {
           }
           const double expected = scanSum(*db, nets, cells, xs, ys);
           ASSERT_EQ(table.sumHpwlInRow(xs.data(), counts), expected);
-          ASSERT_EQ(table.sumHpwl(xs.data(), ys.data(), counts), expected);
         } while (std::next_permutation(perm.begin(), perm.end()));
         ++windows;
       }
